@@ -8,6 +8,7 @@ Documents are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 ENTITY_CLASSES = frozenset({
@@ -139,17 +140,6 @@ class Document:
     events: tuple[EventMention, ...] = ()
 
 
-def mention_start(doc: Document, mention_id: str, _cache: dict | None = None) -> int:
-    """Earliest character offset of a mention (entity start or trigger start)."""
-    for ent in doc.entities:
-        if ent.id == mention_id:
-            return ent.start
-    for ev in doc.events:
-        if ev.id == mention_id:
-            return ev.trigger_start
-    raise KeyError(mention_id)
-
-
 def validate_document(doc: Document, entity_classes: frozenset[str] = ENTITY_CLASSES,
                       event_types: frozenset[str] | None = None) -> None:
     """Check every document invariant, raising SchemaViolation on the first failure.
@@ -175,6 +165,7 @@ def validate_document(doc: Document, entity_classes: frozenset[str] = ENTITY_CLA
                 raise SchemaViolation(f"token at {tok.start}: unknown pos hint {tok.pos_hint!r}")
             tok_end = tok.end
 
+    starts = [s.start for s in doc.sentences]
     seen: set[str] = set()
     for ent in doc.entities:
         if ent.id in seen:
@@ -186,7 +177,7 @@ def validate_document(doc: Document, entity_classes: frozenset[str] = ENTITY_CLA
             raise SchemaViolation(f"{ent.id}: unknown entity class {ent.label!r}")
         if ent.surface != doc.text[ent.start:ent.end]:
             raise SchemaViolation(f"{ent.id}: surface does not match covered text")
-        if not _covered_by_sentence(doc, ent.start, ent.end):
+        if not _covered_by_sentence(doc, starts, ent.start, ent.end):
             raise SchemaViolation(f"{ent.id}: span not covered by any sentence")
         for mut in ent.mutations:
             if mut.kind not in MUTATION_KINDS:
@@ -202,7 +193,7 @@ def validate_document(doc: Document, entity_classes: frozenset[str] = ENTITY_CLA
         event_ids.add(ev.id)
         if not (0 <= ev.trigger_start < ev.trigger_end <= text_len):
             raise SchemaViolation(f"{ev.id}: trigger span out of bounds")
-        if not _covered_by_sentence(doc, ev.trigger_start, ev.trigger_end):
+        if not _covered_by_sentence(doc, starts, ev.trigger_start, ev.trigger_end):
             raise SchemaViolation(f"{ev.id}: trigger not covered by any sentence")
         if event_types is not None and ev.event_type not in event_types:
             raise SchemaViolation(f"{ev.id}: unknown event type {ev.event_type!r}")
@@ -218,8 +209,10 @@ def validate_document(doc: Document, entity_classes: frozenset[str] = ENTITY_CLA
     _reject_event_cycles(doc, event_ids)
 
 
-def _covered_by_sentence(doc: Document, start: int, end: int) -> bool:
-    return any(s.start <= start and end <= s.end for s in doc.sentences)
+def _covered_by_sentence(doc: Document, starts: list[int], start: int, end: int) -> bool:
+    # Sentences are sorted and disjoint here: only the last to start by ``start`` can cover.
+    i = bisect_right(starts, start) - 1
+    return i >= 0 and end <= doc.sentences[i].end
 
 
 def _reject_event_cycles(doc: Document, event_ids: set[str]) -> None:

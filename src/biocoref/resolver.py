@@ -18,7 +18,6 @@ from .schema import ArgSchema, default_schema
 from .sieves import (
     RESOLUTION_SIEVES,
     SIEVE_ORDER,
-    SIEVE_RANK,
     CorefState,
     ResolveContext,
     sieve_cleanup,
@@ -114,7 +113,6 @@ def resolve_document(doc: Document, config: ResolverConfig,
     dropped_mentions: dict[str, str] = {}
     dropped_events: dict[str, str] = {}
     for name in SIEVE_ORDER:
-        state.sieve_cursor = SIEVE_RANK[name]
         if name in config.disabled_sieves:
             if observer:
                 observer(name, state)
@@ -137,9 +135,10 @@ def resolve_document(doc: Document, config: ResolverConfig,
 
     trace_list = None
     if trace is not None:
+        link_by_anaphor = {link.anaphor_id: link for link in state.links}
         for c in candidates:
             entry = trace[c.mention_id]
-            link = state.link_for(c.mention_id)
+            link = link_by_anaphor.get(c.mention_id)
             if link is not None:
                 entry["final"] = {"status": "LINKED", "sieve": link.sieve_name,
                                   "antecedents": list(link.antecedent_ids)}

@@ -21,6 +21,7 @@ they are too permissive for this domain.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 from . import detection as det
@@ -67,18 +68,11 @@ class CorefState:
     uf: UnionFind = field(default_factory=UnionFind)
     links: list[CorefLink] = field(default_factory=list)
     resolved: set[str] = field(default_factory=set)
-    sieve_cursor: int = 0
 
     def chains(self) -> list[list[str]]:
         """Non-singleton chains, each sorted, in deterministic order."""
         groups = [g for g in self.uf.groups().values() if len(g) > 1]
         return sorted(groups)
-
-    def link_for(self, anaphor_id: str) -> CorefLink | None:
-        for link in self.links:
-            if link.anaphor_id == anaphor_id:
-                return link
-        return None
 
 
 @dataclass(slots=True)
@@ -208,14 +202,31 @@ def _np_words(ctx: ResolveContext, start: int, end: int, surface: str) -> list[s
     return surface.split()
 
 
+def _head_index(ctx: ResolveContext):
+    """Entities nearest first by ``(-start, id)``, their lowercase word sets,
+    and per word the positions in that order of the entities containing it.
+    Anaphors are never antecedents, so their word sets are left empty."""
+    order = sorted(ctx.index.entities, key=lambda e: (-e.start, e.id))
+    words = [frozenset() if e.id in ctx.candidate_ids else
+             frozenset(w.lower() for w in _np_words(ctx, e.start, e.end, e.surface))
+             for e in order]
+    by_word: dict[str, list[int]] = {}
+    for i, ws in enumerate(words):
+        for w in ws:
+            by_word.setdefault(w, []).append(i)
+    return order, [-e.start for e in order], words, by_word
+
+
 def sieve_strict_head(ctx: ResolveContext, state: CorefState) -> None:
     """Link a definite NP to the nearest prior mention containing all its words.
 
     The head word must appear in the antecedent and every non-stopword of the
     anaphor must too. "The phosphorylated protein" matches "phosphorylated
     ASPP2 protein"; "the activated ASPP2" does not, because "activated" is
-    absent. Matching is mention-local and ignores chain members.
+    absent. Matching is mention-local and ignores chain members, and the
+    search reaches back to the start of the document.
     """
+    head_index = None
     for cand in ctx.candidates:
         if cand.kind != det.CLASS_NP:
             continue
@@ -230,22 +241,30 @@ def sieve_strict_head(ctx: ResolveContext, state: CorefState) -> None:
             continue
         head = content[-1]
         cons = build_constraints(ctx.index, cand, ctx.schema, banned=ctx.candidate_ids)
+        if head_index is None:
+            head_index = _head_index(ctx)
+        order, neg_starts, ent_words, by_word = head_index
+        first = bisect_right(neg_starts, -cand.start)  # first entity starting earlier
         considered: list = [] if ctx.trace is not None else None
-        linked = False
-        pool = [e for e in ctx.index.entities if e.start < cand.start]
-        for ent in sorted(pool, key=lambda e: (-e.start, e.id)):
+        if considered is None:  # only entities containing the head word can pass
+            hits = by_word.get(head, [])
+            scan = hits[bisect_left(hits, first):]
+        else:
+            scan = range(first, len(order))
+        for i in scan:
+            contained = ent_words[i].issuperset(content)
+            if considered is None and not contained:
+                continue
+            ent = order[i]
             verdict = verdict_for(ent, cand, cons, state.uf, [])
-            if verdict == ACCEPTED:
-                ant_words = [w.lower() for w in _np_words(ctx, ent.start, ent.end, ent.surface)]
-                if head not in ant_words or not all(w in ant_words for w in content):
-                    verdict = "excluded_word_containment"
+            if verdict == ACCEPTED and not contained:
+                verdict = "excluded_word_containment"
             if considered is not None:
                 considered.append({"id": ent.id, "verdict": verdict})
             if verdict == ACCEPTED:
                 _link(ctx, state, cand, [ent.id], "strict_head", considered)
-                linked = True
                 break
-        if not linked:
+        else:
             ctx.record(cand.mention_id, "strict_head", "no_match", considered=considered)
 
 

@@ -32,25 +32,16 @@ from .model import (
     SchemaViolation,
     Sentence,
     Token,
-    mention_start,
     validate_document,
 )
 from .schema import ArgSchema, default_schema, with_completeness
-
-SIEVE_RANKS = {
-    "exact_string": 1,
-    "shared_grounding": 2,
-    "mutant_match": 3,
-    "strict_head": 4,
-    "pronominal": 5,
-    "class_np": 6,
-    "event_coref": 7,
-    "cleanup": 8,
-}
+from .sieves import SIEVE_RANK
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
-    if not isinstance(obj, dict) or key not in obj:
+    if not isinstance(obj, dict):
+        raise SchemaViolation(f"{where}: expected an object, not {type(obj).__name__}")
+    if key not in obj:
         raise SchemaViolation(f"{where}: missing field {key!r}")
     return obj[key]
 
@@ -66,6 +57,19 @@ def _require_str(obj: dict, key: str, where: str) -> str:
     value = _require(obj, key, where)
     if not isinstance(value, str):
         raise SchemaViolation(f"{where}: field {key!r} must be a string")
+    return value
+
+
+def _optional_str(obj: dict, key: str, where: str, default: str | None = None) -> str | None:
+    value = obj.get(key, default)
+    return value if value is None or isinstance(value, str) else _require_str(obj, key, where)
+
+
+def _require_list(obj: dict, key: str, where: str, optional: bool = False) -> list:
+    """A list field; the ``_require`` call reading each item rejects non-objects."""
+    value = obj.get(key, []) if optional and isinstance(obj, dict) else _require(obj, key, where)
+    if not isinstance(value, list):
+        raise SchemaViolation(f"{where}: field {key!r} must be a list")
     return value
 
 
@@ -97,15 +101,15 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
     text = _require_str(raw, "text", doc_id)
 
     sentences = []
-    for s in _require(raw, "sentences", doc_id):
+    for s in _require_list(raw, "sentences", doc_id):
         tokens = tuple(
             Token(
                 start=_require_int(t, "start", f"{doc_id} token"),
                 end=_require_int(t, "end", f"{doc_id} token"),
                 surface=text[t["start"]:t["end"]],
-                pos_hint=t.get("pos"),
+                pos_hint=_optional_str(t, "pos", f"{doc_id} token"),
             )
-            for t in s.get("tokens", ())
+            for t in _require_list(s, "tokens", f"{doc_id} sentence", optional=True)
         )
         sentences.append(Sentence(
             index=_require_int(s, "index", f"{doc_id} sentence"),
@@ -115,13 +119,15 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
         ))
 
     entities = []
-    for e in _require(raw, "entities", doc_id):
+    for e in _require_list(raw, "entities", doc_id):
         ent_id = _require_str(e, "id", f"{doc_id} entity")
         start = _require_int(e, "start", ent_id)
         end = _require_int(e, "end", ent_id)
+        where = f"{doc_id} {ent_id}"
         mutations = tuple(
-            MutationRecord(kind=_require_str(m, "kind", ent_id), label=m.get("label"))
-            for m in e.get("mutations", ())
+            MutationRecord(kind=_require_str(m, "kind", where),
+                           label=_optional_str(m, "label", where))
+            for m in _require_list(e, "mutations", where, optional=True)
         )
         entities.append(EntityMention(
             id=ent_id,
@@ -129,16 +135,17 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
             end=end,
             label=_require_str(e, "label", ent_id),
             surface=text[start:end] if 0 <= start <= end <= len(text) else "",
-            grounding_id=e.get("grounding"),
+            grounding_id=_optional_str(e, "grounding", ent_id),
             mutations=mutations,
         ))
 
     events = []
-    for ev in _require(raw, "events", doc_id):
+    for ev in _require_list(raw, "events", doc_id):
         ev_id = _require_str(ev, "id", f"{doc_id} event")
+        where = f"{doc_id} {ev_id}"
         args = tuple(
-            EventArg(role=_require_str(a, "role", ev_id), ref=_require_str(a, "ref", ev_id))
-            for a in ev.get("args", ())
+            EventArg(role=_require_str(a, "role", where), ref=_require_str(a, "ref", where))
+            for a in _require_list(ev, "args", where, optional=True)
         )
         events.append(EventMention(
             id=ev_id,
@@ -146,7 +153,7 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
             trigger_end=_require_int(ev, "trigger_end", ev_id),
             event_type=_require_str(ev, "type", ev_id),
             args=args,
-            polarity=ev.get("polarity", "Unspecified"),
+            polarity=_optional_str(ev, "polarity", ev_id, "Unspecified"),
         ))
 
     doc = Document(
@@ -226,26 +233,27 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
     """Serialize a resolved document; rejects links or events that violate
     their invariants against ``doc``. Output is deterministic byte-for-byte.
     """
-    known = {e.id for e in doc.entities} | {ev.id for ev in doc.events}
+    starts = {ev.id: ev.trigger_start for ev in doc.events}
+    starts.update((e.id, e.start) for e in doc.entities)
     completed_ids = {c.id for c in completed}
     for link in links:
         if not link.antecedent_ids:
             raise SchemaViolation(f"link {link.anaphor_id}: empty antecedent list")
         if link.anaphor_id in link.antecedent_ids:
             raise SchemaViolation(f"link {link.anaphor_id}: anaphor cannot be its own antecedent")
-        if link.anaphor_id not in known:
+        if link.anaphor_id not in starts:
             raise SchemaViolation(f"link anaphor {link.anaphor_id} not in document")
-        a_start = mention_start(doc, link.anaphor_id)
+        a_start = starts[link.anaphor_id]
         for ant in link.antecedent_ids:
-            if ant not in known:
+            if ant not in starts:
                 raise SchemaViolation(f"link antecedent {ant} not in document")
-            if mention_start(doc, ant) >= a_start:
+            if starts[ant] >= a_start:
                 raise SchemaViolation(f"link {link.anaphor_id}: antecedent {ant} does not precede anaphor")
     for ev in completed:
-        if ev.derived_from not in known:
+        if ev.derived_from not in starts:
             raise SchemaViolation(f"completed event {ev.id}: unknown source {ev.derived_from}")
         for arg in ev.args:
-            if arg.ref not in known and arg.ref not in completed_ids:
+            if arg.ref not in starts and arg.ref not in completed_ids:
                 raise SchemaViolation(f"completed event {ev.id}: dangling ref {arg.ref}")
 
     out = document_to_dict(doc)
@@ -276,7 +284,7 @@ def load_result(data: bytes | str, schema: ArgSchema | None = None
             anaphor_id=l["anaphor"],
             antecedent_ids=tuple(l["antecedents"]),
             sieve_name=l["sieve"],
-            confidence_rank=SIEVE_RANKS.get(l["sieve"], 0),
+            confidence_rank=SIEVE_RANK.get(l["sieve"], 0),
         )
         for l in raw.get("links", ())
     )

@@ -177,10 +177,11 @@ _ONE_SENTENCE = [
 _TWO_SENTENCE = [_pattern_mutant, _pattern_nominal_event]
 
 
-def synth_doc(rng: random.Random, idx: int) -> dict:
-    """One random valid wire-format document."""
+def synth_doc(rng: random.Random, idx: int, sentences: int | None = None) -> dict:
+    """One random valid wire-format document of ``sentences`` sentences, or of
+    1 to 4 when not given."""
     b = _Builder(rng)
-    target = rng.randint(1, 4)
+    target = rng.randint(1, 4) if sentences is None else sentences
     while len(b.sentences) < target:
         s = len(b.sentences)
         if target - s >= 2 and rng.random() < 0.25:

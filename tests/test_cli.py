@@ -65,6 +65,21 @@ def test_resolve_bad_document_exits_1(tmp_path):
     assert len(summary["failed"]) == 1
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_malformed_sibling_does_not_abort_batch(tmp_path, corpus_dir, jobs):
+    good = json.loads((corpus_dir / "ex12_foxp3.json").read_text(encoding="utf-8"))
+    (tmp_path / "a_good.json").write_text(json.dumps(good), encoding="utf-8")
+    (tmp_path / "b_bad.json").write_text(json.dumps(dict(good, sentences=5)), encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_cli("resolve", "--in", str(tmp_path / "*.json"), "--out", str(out),
+                   "--jobs", jobs)
+    assert proc.returncode == 1, proc.stderr
+    summary = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert [f["file"] for f in summary["failed"]] == [str(tmp_path / "b_bad.json")]
+    assert "SchemaViolation" in summary["failed"][0]["error"]
+    assert [p.name for p in out.iterdir()] == ["a_good.json"]
+
+
 def test_disable_sieve_drops_foxp3_expression(tmp_path, corpus_dir):
     out = tmp_path / "ablate"
     proc = run_cli("resolve", "--in", str(corpus_dir / "ex12_foxp3.json"),

@@ -37,6 +37,79 @@ def test_mention_outside_every_sentence_rejected():
         load_document(json.dumps(raw))
 
 
+# Sentences "RAF1 binds." [3, 14) and "MEK1 binds." [18, 29), with text
+# before the first and a gap between them.
+_TWO_SENTENCES = "xx RAF1 binds. yy MEK1 binds."
+
+
+@pytest.mark.parametrize("kind", ["entity", "event"])
+@pytest.mark.parametrize("span, covered", [
+    ((8, 22), False),   # crosses the end of the first sentence
+    ((15, 17), False),  # in the gap between the sentences
+    ((0, 2), False),    # before the first sentence
+    ((23, 29), True),   # ends exactly at the second sentence's end
+])
+def test_sentence_coverage_edges(kind, span, covered):
+    start, end = span
+    raw = {"doc_id": "d", "text": _TWO_SENTENCES,
+           "sentences": [{"index": 0, "start": 3, "end": 14},
+                         {"index": 1, "start": 18, "end": 29}],
+           "entities": [], "events": []}
+    if kind == "entity":
+        raw["entities"].append({"id": "T1", "start": start, "end": end, "label": "Protein"})
+    else:
+        raw["events"].append({"id": "E1", "trigger_start": start, "trigger_end": end,
+                              "type": "Binding", "args": []})
+    if covered:
+        load_document(json.dumps(raw))
+    else:
+        with pytest.raises(SchemaViolation, match="covered"):
+            load_document(json.dumps(raw))
+
+
+def _wire_doc():
+    return {"doc_id": "shape", "text": "RAF1 binds MEK1.",
+            "sentences": [{"index": 0, "start": 0, "end": 16,
+                           "tokens": [{"start": 0, "end": 4}]}],
+            "entities": [{"id": "T1", "start": 0, "end": 4, "label": "Protein",
+                          "mutations": [{"kind": "Deletion"}]},
+                         {"id": "T2", "start": 11, "end": 15, "label": "Protein"}],
+            "events": [{"id": "E1", "trigger_start": 5, "trigger_end": 10, "type": "Binding",
+                        "args": [{"role": "theme1", "ref": "T1"},
+                                 {"role": "theme2", "ref": "T2"}]}]}
+
+
+def _wire_doc_with(path, value):
+    raw = _wire_doc()
+    load_document(json.dumps(raw))
+    target = raw
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("path", [
+    ("sentences",), ("entities",), ("events",),
+    ("sentences", 0, "tokens"), ("entities", 0, "mutations"), ("events", 0, "args"),
+])
+@pytest.mark.parametrize("value", [5, None, "x", {"a": 1}, [1], [[]]])
+def test_list_fields_must_be_lists_of_objects(path, value):
+    error = f"'{path[-1]}' must be a list" if type(value) is not list else "expected an object"
+    with pytest.raises(SchemaViolation, match=rf"^shape\b.*{error}"):
+        load_document(_wire_doc_with(path, value))
+
+
+@pytest.mark.parametrize("path", [
+    ("sentences", 0, "tokens", 0, "pos"), ("entities", 0, "grounding"),
+    ("entities", 0, "mutations", 0, "label"), ("events", 0, "polarity"),
+])
+@pytest.mark.parametrize("value", [5, [], {"a": 1}])
+def test_optional_string_fields_must_be_strings(path, value):
+    with pytest.raises(SchemaViolation, match=f"field '{path[-1]}' must be a string"):
+        load_document(_wire_doc_with(path, value))
+
+
 def test_event_reference_cycle_rejected():
     raw = {"doc_id": "d", "text": "go stop",
            "sentences": [{"index": 0, "start": 0, "end": 7, "tokens": []}],

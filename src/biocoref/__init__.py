@@ -10,7 +10,7 @@ from .detection import (
     detect_candidates,
     load_lexicon,
 )
-from .grounding import GroundingTable, default_table, ground, load_table, normalize
+from .grounding import GroundingTable, default_table, load_table, normalize
 from .model import (
     CompletedEvent,
     CorefLink,
@@ -57,7 +57,6 @@ __all__ = [
     "default_schema",
     "default_table",
     "detect_candidates",
-    "ground",
     "load_document",
     "load_lexicon",
     "load_result",

@@ -49,7 +49,7 @@ def _build_config(args) -> ResolverConfig:
                           disabled_sieves=disabled, trace=args.emit_provenance)
 
 
-def _resolve_file(path: str, config: ResolverConfig, emit_provenance: bool) -> tuple[bytes, dict]:
+def _resolve_file(path: str, config: ResolverConfig) -> tuple[bytes, dict]:
     """Resolve one input file: a single JSON document or an NDJSON stream."""
     data = Path(path).read_bytes()
     try:
@@ -67,7 +67,7 @@ def _resolve_file(path: str, config: ResolverConfig, emit_provenance: bool) -> t
     totals: dict = {}
     for doc in docs:
         resolution = resolve_document(doc, config)
-        outputs.append(resolution.to_bytes(emit_provenance=emit_provenance))
+        outputs.append(resolution.to_bytes(emit_provenance=config.trace))
         for key, value in resolution.counters.items():
             if isinstance(value, int):
                 totals[key] = totals.get(key, 0) + value
@@ -87,22 +87,17 @@ def _resolve_file(path: str, config: ResolverConfig, emit_provenance: bool) -> t
     return payload, totals
 
 
-def _worker_init(config_args: dict) -> None:
-    _WORKER_CONFIG["config"] = _rebuild_config(config_args)
-    _WORKER_CONFIG["emit_provenance"] = config_args["emit_provenance"]
+def _worker_init(args: argparse.Namespace) -> None:
+    _WORKER_CONFIG["config"] = _build_config(args)
 
 
-def _rebuild_config(config_args: dict) -> ResolverConfig:
-    ns = argparse.Namespace(**{k: config_args[k] for k in
-                               ("lexicon", "schema", "grounding", "disable_sieve",
-                                "emit_provenance")})
-    return _build_config(ns)
-
-
-def _worker_resolve(path: str) -> tuple[str, bytes | None, dict | None, str | None]:
+def _resolve_path(path: str, config: ResolverConfig | None = None
+                  ) -> tuple[str, bytes | None, dict | None, str | None]:
+    """``(path, output, counters, None)`` for one input file, or ``(path,
+    None, None, error)`` when it cannot be resolved. ``config`` defaults to
+    the one a pool worker built at start-up."""
     try:
-        out, counters = _resolve_file(path, _WORKER_CONFIG["config"],
-                                      _WORKER_CONFIG["emit_provenance"])
+        out, counters = _resolve_file(path, config or _WORKER_CONFIG["config"])
         return path, out, counters, None
     except (MalformedInput, SchemaViolation, OSError, ValueError, KeyError) as exc:
         return path, None, None, f"{type(exc).__name__}: {exc}"
@@ -131,23 +126,12 @@ def cmd_resolve(args) -> int:
         "events_dropped": 0,
     }
 
-    results: list[tuple[str, bytes | None, dict | None, str | None]] = []
     if args.jobs > 1 and len(paths) > 1:
-        config_args = {
-            "lexicon": args.lexicon, "schema": args.schema, "grounding": args.grounding,
-            "disable_sieve": args.disable_sieve or [],
-            "emit_provenance": args.emit_provenance,
-        }
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_worker_init,
-                                 initargs=(config_args,)) as pool:
-            results = list(pool.map(_worker_resolve, paths))
+                                 initargs=(args,)) as pool:
+            results = list(pool.map(_resolve_path, paths))
     else:
-        for path in paths:
-            try:
-                out, counters = _resolve_file(path, config, args.emit_provenance)
-                results.append((path, out, counters, None))
-            except (MalformedInput, SchemaViolation, OSError, ValueError, KeyError) as exc:
-                results.append((path, None, None, f"{type(exc).__name__}: {exc}"))
+        results = [_resolve_path(path, config) for path in paths]
 
     for path, out, counters, error in results:
         if error is not None:
@@ -157,12 +141,9 @@ def cmd_resolve(args) -> int:
             continue
         (out_dir / (Path(path).stem + ".json")).write_bytes(out)
         summary["docs"] += 1
-        summary["anaphors_detected"] += counters["anaphors_detected"]
-        summary["anaphors_resolved"] += counters["anaphors_resolved"]
-        summary["anaphors_dropped"] += counters["anaphors_dropped"]
-        summary["events_completed"] += counters["events_completed"]
-        summary["events_coref_derived"] += counters["events_coref_derived"]
-        summary["events_dropped"] += counters["events_dropped"]
+        for key in ("anaphors_detected", "anaphors_resolved", "anaphors_dropped",
+                    "events_completed", "events_coref_derived", "events_dropped"):
+            summary[key] += counters[key]
         for sieve, n in counters["resolved_by_sieve"].items():
             summary["resolved_by_sieve"][sieve] = summary["resolved_by_sieve"].get(sieve, 0) + n
 

@@ -13,30 +13,17 @@ from __future__ import annotations
 
 from itertools import product
 
-from .model import CompletedEvent, CorefLink, Document, EventArg
+from .model import CompletedEvent, CorefLink, Document, EventArg, EventMention, event_order
 from .schema import ArgSchema
 from .unionfind import UnionFind
 
 
-def assign_multi_anaphors(anaphors: list[str], groups: list[list[str]]
-                          ) -> list[tuple[str, list[str] | None]]:
-    """Pair an event's anaphors with antecedent groups by text order.
-
-    With no better signal, the first anaphor takes the first group and so on;
-    anaphors beyond the available groups stay unresolved.
-    """
-    return [(a, groups[i] if i < len(groups) else None) for i, a in enumerate(anaphors)]
-
-
 def complete_events(doc: Document, schema: ArgSchema, links: list[CorefLink],
-                    uf: UnionFind, pre_dropped: dict[str, str]
-                    ) -> tuple[list[CompletedEvent], dict[str, str]]:
+                    uf: UnionFind) -> tuple[list[CompletedEvent], dict[str, str]]:
     """Emit the final event set for a cleaned document.
 
-    ``pre_dropped`` holds removal reasons from cleanup (for reporting only;
-    the document is already cleaned). Returns the completed events plus the
-    events dropped here (still incomplete after substitution, or suppressed
-    as self-relations).
+    Returns the completed events plus the events dropped here (still
+    incomplete after substitution, or suppressed as self-relations).
     """
     links_by_anaphor = {l.anaphor_id: l for l in links}
     events = {ev.id: ev for ev in doc.events}
@@ -44,37 +31,24 @@ def complete_events(doc: Document, schema: ArgSchema, links: list[CorefLink],
     dropped: dict[str, str] = {}
     memo: dict[str, list[CompletedEvent]] = {}
 
-    def complete(ev_id: str) -> list[CompletedEvent]:
-        if ev_id in memo:
-            return memo[ev_id]
-        ev = events.get(ev_id)
-        if ev is None:
-            memo[ev_id] = []
-            return []
-        if ev.id in links_by_anaphor:
-            # A resolved event anaphor stands for its antecedent event.
-            target = links_by_anaphor[ev.id].antecedent_ids[0]
-            memo[ev_id] = complete(target)
-            return memo[ev_id]
-        memo[ev_id] = []
-
+    def complete(ev: EventMention) -> list[CompletedEvent]:
+        # Every event ``ev`` is built from is already in ``memo``.
         role_order: list[str] = []
         fillers: dict[str, list[tuple[str, frozenset[str]]]] = {}
         for arg in ev.args:
             if arg.role not in fillers:
                 fillers[arg.role] = []
                 role_order.append(arg.role)
+            link = links_by_anaphor.get(arg.ref)
             if arg.ref in entity_ids:
-                link = links_by_anaphor.get(arg.ref)
                 if link is None:
                     fillers[arg.role].append((arg.ref, frozenset()))
                 else:
                     for ant in link.antecedent_ids:
                         fillers[arg.role].append((ant, frozenset({arg.ref})))
             else:
-                link = links_by_anaphor.get(arg.ref)
                 base = frozenset({arg.ref}) if link is not None else frozenset()
-                for child in complete(arg.ref):
+                for child in memo.get(arg.ref, ()):
                     fillers[arg.role].append((child.id, base | frozenset(child.provenance)))
 
         for role, spec in schema.roles_for(ev.event_type).items():
@@ -112,12 +86,23 @@ def complete_events(doc: Document, schema: ArgSchema, links: list[CorefLink],
                 trigger_end=c.trigger_end, event_type=c.event_type, args=c.args,
                 polarity=c.polarity, derived_from=c.derived_from, provenance=c.provenance,
             ) for i, c in enumerate(out)]
-        memo[ev_id] = out
         return out
+
+    # A resolved event anaphor stands for its antecedent event.
+    stands_for = {ev_id: links_by_anaphor[ev_id].antecedent_ids[0]
+                  for ev_id in events if ev_id in links_by_anaphor}
+    children = {ev.id: [a.ref for a in ev.args if a.ref in events] for ev in doc.events}
+    for ev_id, target in stands_for.items():
+        children[ev_id] = [target] if target in events else []
+    for ev_id in event_order(doc, children):
+        if ev_id in stands_for:
+            memo[ev_id] = memo.get(stands_for[ev_id], [])
+        else:
+            memo[ev_id] = complete(events[ev_id])
 
     completed: list[CompletedEvent] = []
     for ev in doc.events:
         if ev.id in links_by_anaphor:
             continue  # resolved event anaphors are represented by their antecedents
-        completed.extend(complete(ev.id))
+        completed.extend(memo[ev.id])
     return completed, dropped

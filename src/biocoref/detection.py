@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib.resources import files
 
 from .index import DocIndex
@@ -140,6 +141,7 @@ def load_lexicon_file(path) -> TriggerDictionary:
         return load_lexicon(fh.read())
 
 
+@cache
 def default_lexicon() -> TriggerDictionary:
     return load_lexicon(files("biocoref").joinpath("data/lexicon.json").read_bytes())
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cache
 from importlib.resources import files
 
 DEFAULT_NAMESPACE_PRIORITY = (
@@ -40,7 +41,6 @@ def normalize(surface: str) -> str:
 @dataclass(frozen=True, slots=True)
 class GroundingTable:
     entries: dict[str, str] = field(default_factory=dict)
-    namespace_priority: tuple[str, ...] = DEFAULT_NAMESPACE_PRIORITY
     dropped_duplicates: int = 0
 
     def ground(self, surface: str) -> str | None:
@@ -86,8 +86,7 @@ def load_table(data: bytes | str,
         candidates.sort()
         entries[alias_key] = candidates[0][2]
         dropped += len(candidates) - 1
-    return GroundingTable(entries=entries, namespace_priority=namespace_priority,
-                          dropped_duplicates=dropped)
+    return GroundingTable(entries=entries, dropped_duplicates=dropped)
 
 
 def load_table_file(path) -> GroundingTable:
@@ -95,10 +94,7 @@ def load_table_file(path) -> GroundingTable:
         return load_table(fh.read())
 
 
+@cache
 def default_table() -> GroundingTable:
     return load_table(files("biocoref").joinpath("data/grounding.tsv").read_bytes())
 
-
-def ground(mention_surface: str, table: GroundingTable) -> str | None:
-    """Canonical ID for a surface, or None. A miss is a normal outcome."""
-    return table.ground(mention_surface)

@@ -57,7 +57,3 @@ class DocIndex:
     def mention_start(self, mention_id: str) -> int:
         m = self.by_id[mention_id]
         return m.start if isinstance(m, EntityMention) else m.trigger_start
-
-    def mention_end(self, mention_id: str) -> int:
-        m = self.by_id[mention_id]
-        return m.end if isinstance(m, EntityMention) else m.trigger_end

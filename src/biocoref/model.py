@@ -114,7 +114,6 @@ class CorefLink:
     anaphor_id: str
     antecedent_ids: tuple[str, ...]
     sieve_name: str
-    confidence_rank: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,7 +205,7 @@ def validate_document(doc: Document, entity_classes: frozenset[str] = ENTITY_CLA
             if arg.ref not in known:
                 raise SchemaViolation(f"{arg.ref}")
 
-    _reject_event_cycles(doc, event_ids)
+    event_order(doc)
 
 
 def _covered_by_sentence(doc: Document, starts: list[int], start: int, end: int) -> bool:
@@ -215,20 +214,43 @@ def _covered_by_sentence(doc: Document, starts: list[int], start: int, end: int)
     return i >= 0 and end <= doc.sentences[i].end
 
 
-def _reject_event_cycles(doc: Document, event_ids: set[str]) -> None:
-    children = {ev.id: [a.ref for a in ev.args if a.ref in event_ids] for ev in doc.events}
-    state: dict[str, int] = {}
+def event_order(doc: Document, children: dict[str, list[str]] | None = None) -> list[str]:
+    """Event ids of ``doc`` children first, walked from each event in document order.
 
-    def visit(node: str, trail: list[str]) -> None:
-        mark = state.get(node)
-        if mark == 2:
-            return
-        if mark == 1:
-            raise SchemaViolation(f"{node}: event reference cycle via {'->'.join(trail)}")
-        state[node] = 1
-        for child in children[node]:
-            visit(child, trail + [child])
-        state[node] = 2
-
-    for ev_id in children:
-        visit(ev_id, [ev_id])
+    ``children`` maps every event id to the ids of the events it is built
+    from, each of them a key too; by default, the event-valued arguments.
+    The walk is iterative, so nesting depth is not bounded by the recursion
+    limit. A cycle raises SchemaViolation naming the path that closes it.
+    """
+    if children is None:
+        ids = {ev.id for ev in doc.events}
+        children = {ev.id: [a.ref for a in ev.args if a.ref in ids] for ev in doc.events}
+    order: list[str] = []
+    placed: set[str] = set()
+    for ev in doc.events:
+        root, kids = ev.id, children[ev.id]
+        if root in placed:
+            continue
+        if not kids:
+            order.append(root)
+            placed.add(root)
+            continue
+        path, todo, on_path = [root], [iter(kids)], {root}
+        while todo:
+            for child in todo[-1]:
+                if child in placed:
+                    continue
+                if child in on_path:
+                    raise SchemaViolation(
+                        f"{child}: event reference cycle via {'->'.join(path)}->{child}")
+                path.append(child)
+                todo.append(iter(children[child]))
+                on_path.add(child)
+                break
+            else:
+                todo.pop()
+                node = path.pop()
+                on_path.discard(node)
+                order.append(node)
+                placed.add(node)
+    return order

@@ -124,9 +124,7 @@ def resolve_document(doc: Document, config: ResolverConfig,
         if observer:
             observer(name, state)
 
-    completed, more_dropped = complete_events(cleaned, config.schema, state.links,
-                                              state.uf, dropped_events)
-    dropped_events = dict(dropped_events)
+    completed, more_dropped = complete_events(cleaned, config.schema, state.links, state.uf)
     dropped_events.update(more_dropped)
 
     resolved_by_sieve: dict[str, int] = {}

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cache
 from importlib.resources import files
 
-from .model import Document, EventMention, MalformedInput, SchemaViolation
+from .model import Document, EventMention, MalformedInput, SchemaViolation, event_order
 
 EVENT_PSEUDO_CLASS = "Event"
 
@@ -90,6 +91,7 @@ def load_schema_file(path) -> ArgSchema:
         return load_schema(fh.read())
 
 
+@cache
 def default_schema() -> ArgSchema:
     return load_schema(files("biocoref").joinpath("data/schema.json").read_bytes())
 
@@ -103,39 +105,17 @@ def structurally_complete(event: EventMention, schema: ArgSchema) -> bool:
                for role, spec in schema.roles_for(event.event_type).items())
 
 
-def completeness_map(doc: Document, schema: ArgSchema,
-                     dropped: frozenset[str] = frozenset()) -> dict[str, bool]:
-    """Completeness per event, recursing through event-valued arguments.
+def with_completeness(doc: Document, schema: ArgSchema) -> Document:
+    """Return a copy of ``doc`` whose events carry recomputed complete flags.
 
     An event is complete only if its own arity is satisfied and every event
-    it references is itself complete (and not dropped).
+    it references is itself complete.
     """
-    all_event_ids = {ev.id for ev in doc.events}
-    events = {ev.id: ev for ev in doc.events if ev.id not in dropped}
-    memo: dict[str, bool] = {}
-
-    def check(ev_id: str) -> bool:
-        if ev_id in memo:
-            return memo[ev_id]
-        ev = events.get(ev_id)
-        if ev is None:
-            memo[ev_id] = False
-            return False
-        memo[ev_id] = False  # cycle guard; load validation already rejects cycles
-        ok = structurally_complete(ev, schema)
-        if ok:
-            for arg in ev.args:
-                if arg.ref in all_event_ids and not check(arg.ref):
-                    ok = False
-                    break
-        memo[ev_id] = ok
-        return ok
-
-    return {ev_id: check(ev_id) for ev_id in events}
-
-
-def with_completeness(doc: Document, schema: ArgSchema) -> Document:
-    """Return a copy of ``doc`` whose events carry recomputed complete flags."""
-    complete = completeness_map(doc, schema)
-    events = tuple(replace(ev, complete=complete.get(ev.id, False)) for ev in doc.events)
+    by_id = {ev.id: ev for ev in doc.events}
+    complete: dict[str, bool] = {}
+    for ev_id in event_order(doc):
+        ev = by_id[ev_id]
+        complete[ev_id] = structurally_complete(ev, schema) and all(
+            complete.get(arg.ref, True) for arg in ev.args)
+    events = tuple(replace(ev, complete=complete[ev.id]) for ev in doc.events)
     return Document(doc.doc_id, doc.text, doc.sentences, doc.entities, events)

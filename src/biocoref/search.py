@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .detection import AnaphorCandidate, Cardinality
+from .detection import AnaphorCandidate, Cardinality, _is_plural_noun
 from .index import DocIndex
 from .model import EntityMention, EventMention
 from .schema import ArgSchema
@@ -104,8 +104,8 @@ def _plural_mention(index: DocIndex, mention_id: str) -> bool:
         return False
     if mention.label == "Family":
         return True
-    last = mention.surface.split()[-1] if mention.surface.split() else ""
-    return len(last) >= 5 and last.endswith("s") and not last.endswith("ss") and last[-2].islower()
+    words = mention.surface.split()
+    return bool(words) and _is_plural_noun(words[-1])
 
 
 def verdict_for(ent: EntityMention, anaphor: AnaphorCandidate, cons: SearchConstraints,
@@ -160,19 +160,13 @@ def linear_search(index: DocIndex, anaphor: AnaphorCandidate, cons: SearchConstr
             if verdict != ACCEPTED:
                 continue
             result.ids.append(ent.id)
-            if need.kind == "One":
+            if need.kind == "One" or (need.kind == "Exactly" and len(result.ids) >= need.n):
                 result.satisfied = True
                 return _finish(result, index)
-            if need.kind == "Exactly" and len(result.ids) >= need.n:
-                result.satisfied = True
-                return _finish(result, index)
-        if need.kind == "AtLeastTwo":
-            if len(result.ids) >= 2:
-                result.satisfied = True
-                return _finish(result, index)
-            if len(result.ids) == 1 and _plural_mention(index, result.ids[0]):
-                result.satisfied = True
-                return _finish(result, index)
+        if need.kind == "AtLeastTwo" and (len(result.ids) >= 2 or (
+                len(result.ids) == 1 and _plural_mention(index, result.ids[0]))):
+            result.satisfied = True
+            return _finish(result, index)
     return _finish(result, index)
 
 

@@ -16,6 +16,14 @@ sieve is never touched by a later one. Cleanup is the only pass that
 removes anything. Relaxed matching passes common in open-domain resolvers
 (relaxed string match, relaxed head match, and kin) are deliberately absent:
 they are too permissive for this domain.
+
+The sieves built on the linear search (mutant_match, pronominal, class_np)
+are rows of SEARCH_SIEVES, after the precision-ranked rule tables of Lee et
+al. (2013): a filter choosing the candidates, and per candidate an ordered
+list of passes, each a failure status and an optional antecedent test. One
+driver runs every row: it skips candidates an earlier sieve resolved,
+searches once per pass, links on the first satisfied pass and records the
+status of each failed one.
 """
 
 from __future__ import annotations
@@ -23,19 +31,19 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Iterator
 
 from . import detection as det
 from .detection import AnaphorCandidate, TriggerDictionary
 from .grounding import GroundingTable
 from .index import DocIndex
-from .model import CorefLink, Document, EntityMention, EventMention
+from .model import CorefLink, Document, EntityMention, EventMention, event_order
 from .schema import ArgSchema, structurally_complete, with_completeness
 from .search import (
     ACCEPTED,
-    SearchConstraints,
     build_constraints,
     event_antecedent_search,
-    expand_target_class,
     linear_search,
     verdict_for,
 )
@@ -55,6 +63,10 @@ SIEVE_ORDER = (
 SIEVE_RANK = {name: i + 1 for i, name in enumerate(SIEVE_ORDER)}
 
 _SURFACE_COMPONENTS = re.compile(r"[\s\-/()]+")
+
+# One search pass: the status recorded when it fails, and an extra test an
+# antecedent must pass (None when the search constraints suffice).
+SearchPass = tuple[str, Callable[[EntityMention], str | None] | None]
 
 
 @dataclass(slots=True)
@@ -97,18 +109,12 @@ class ResolveContext:
         self.trace[anaphor_id]["attempts"].append(attempt)
 
 
-def _full_entities(ctx: ResolveContext) -> list[EntityMention]:
-    """Entity mentions that are not themselves anaphor candidates."""
-    return [e for e in ctx.index.entities if e.id not in ctx.candidate_ids]
-
-
 def _link(ctx: ResolveContext, state: CorefState, anaphor: AnaphorCandidate,
           antecedents: list[str], sieve: str, considered: list | None = None) -> None:
     state.links.append(CorefLink(
         anaphor_id=anaphor.mention_id,
         antecedent_ids=tuple(antecedents),
         sieve_name=sieve,
-        confidence_rank=SIEVE_RANK[sieve],
     ))
     state.resolved.add(anaphor.mention_id)
     for ant in antecedents:
@@ -117,8 +123,47 @@ def _link(ctx: ResolveContext, state: CorefState, anaphor: AnaphorCandidate,
                antecedents=antecedents)
 
 
-def _specified_labels(ent: EntityMention) -> tuple[str, ...]:
-    return tuple(sorted(m.label for m in ent.mutations if m.specified))
+def _pending(ctx: ResolveContext, state: CorefState, sieve: str,
+             wanted: Callable[[AnaphorCandidate], bool]) -> Iterator[AnaphorCandidate]:
+    """The candidates ``wanted`` accepts, in text order, less those an
+    earlier sieve resolved, which are recorded as ``skipped_resolved``."""
+    for cand in ctx.candidates:
+        if not wanted(cand):
+            continue
+        if cand.mention_id in state.resolved:
+            ctx.record(cand.mention_id, sieve, "skipped_resolved")
+            continue
+        yield cand
+
+
+def _search(sieve: str, ctx: ResolveContext, state: CorefState) -> None:
+    """Run the SEARCH_SIEVES row ``sieve`` over its pending candidates."""
+    wanted, passes = SEARCH_SIEVES[sieve]
+    for cand in _pending(ctx, state, sieve, wanted):
+        for status, test in passes(ctx, cand):
+            cons = build_constraints(ctx.index, cand, ctx.schema,
+                                     banned=ctx.candidate_ids, antecedent_test=test)
+            considered: list = [] if ctx.trace is not None else None
+            result = linear_search(ctx.index, cand, cons, state.uf, trace=considered)
+            if result.satisfied:
+                _link(ctx, state, cand, result.ids, sieve, considered)
+                break
+            ctx.record(cand.mention_id, sieve, status, considered=considered)
+
+
+def _merge_full_entities(ctx: ResolveContext, state: CorefState,
+                         key: Callable[[EntityMention], object]) -> None:
+    """Merge the entity mentions that are not anaphor candidates and share a
+    key; a mention whose key is None is left alone."""
+    by_key: dict[object, list[str]] = {}
+    for ent in ctx.index.entities:
+        if ent.id not in ctx.candidate_ids:
+            k = key(ent)
+            if k is not None:
+                by_key.setdefault(k, []).append(ent.id)
+    for ids in by_key.values():
+        for first, other in zip(ids, ids[1:]):
+            state.uf.union(first, other)
 
 
 def sieve_exact_string(ctx: ResolveContext, state: CorefState) -> None:
@@ -127,12 +172,7 @@ def sieve_exact_string(ctx: ResolveContext, state: CorefState) -> None:
     Case-sensitive by design: surface identity means the same characters in
     the same order, nothing looser. Produces chain merges, not links.
     """
-    by_surface: dict[str, list[EntityMention]] = {}
-    for ent in _full_entities(ctx):
-        by_surface.setdefault(ent.surface, []).append(ent)
-    for ents in by_surface.values():
-        for first, other in zip(ents, ents[1:]):
-            state.uf.union(first.id, other.id)
+    _merge_full_entities(ctx, state, lambda ent: ent.surface)
 
 
 def sieve_shared_grounding(ctx: ResolveContext, state: CorefState) -> None:
@@ -142,15 +182,13 @@ def sieve_shared_grounding(ctx: ResolveContext, state: CorefState) -> None:
     whose spelled-out mutations differ are left apart: N540K-FGFR3 and
     K650E-FGFR3 share a gene but are not the same molecule.
     """
-    by_key: dict[tuple, list[EntityMention]] = {}
-    for ent in _full_entities(ctx):
+    def key(ent: EntityMention) -> tuple | None:
         gid = ent.grounding_id or ctx.grounding.ground(ent.surface)
         if gid is None:
-            continue
-        by_key.setdefault((gid, _specified_labels(ent)), []).append(ent)
-    for ents in by_key.values():
-        for first, other in zip(ents, ents[1:]):
-            state.uf.union(first.id, other.id)
+            return None
+        return gid, tuple(sorted(m.label for m in ent.mutations if m.specified))
+
+    _merge_full_entities(ctx, state, key)
 
 
 def _same_protein(ent: EntityMention, protein_surface: str, grounding: GroundingTable) -> bool:
@@ -162,7 +200,7 @@ def _same_protein(ent: EntityMention, protein_surface: str, grounding: Grounding
     return protein_surface in _SURFACE_COMPONENTS.split(ent.surface)
 
 
-def sieve_mutant_match(ctx: ResolveContext, state: CorefState) -> None:
+def _mutant_match_passes(ctx: ResolveContext, cand: AnaphorCandidate) -> list[SearchPass]:
     """Resolve protein-named mutant NPs with unknown mutations.
 
     "All six FGFR3 mutants" links to every prior FGFR3 mention whose
@@ -170,29 +208,70 @@ def sieve_mutant_match(ctx: ResolveContext, state: CorefState) -> None:
     explicit numeral is strict: six means six, anything less stays
     unresolved rather than asserting the wrong biology.
     """
-    for cand in ctx.candidates:
-        if cand.kind != det.MUTANT_NP or cand.mutant_subkind != det.PROTEIN_ONLY:
-            continue
-        if cand.mention_id in state.resolved:
-            ctx.record(cand.mention_id, "mutant_match", "skipped_resolved")
-            continue
-        protein = cand.mutant_payload or ""
+    protein = cand.mutant_payload or ""
 
-        def mutant_test(ent: EntityMention) -> str | None:
-            if not any(m.specified for m in ent.mutations):
-                return "excluded_no_specified_mutation"
-            if not _same_protein(ent, protein, ctx.grounding):
-                return "excluded_protein_mismatch"
-            return None
+    def mutant_test(ent: EntityMention) -> str | None:
+        if not any(m.specified for m in ent.mutations):
+            return "excluded_no_specified_mutation"
+        if not _same_protein(ent, protein, ctx.grounding):
+            return "excluded_protein_mismatch"
+        return None
 
-        cons = build_constraints(ctx.index, cand, ctx.schema,
-                                 banned=ctx.candidate_ids, antecedent_test=mutant_test)
-        considered: list = [] if ctx.trace is not None else None
-        result = linear_search(ctx.index, cand, cons, state.uf, trace=considered)
-        if result.satisfied:
-            _link(ctx, state, cand, result.ids, "mutant_match", considered)
-        else:
-            ctx.record(cand.mention_id, "mutant_match", "no_match", considered=considered)
+    return [("no_match", mutant_test)]
+
+
+def _pronominal_passes(ctx: ResolveContext, cand: AnaphorCandidate) -> list[SearchPass]:
+    """Resolve pronouns with the linear search under event constraints.
+
+    Candidates go left to right, and each resolution immediately extends a
+    chain, so a later pronoun in the same event complex cannot reuse an
+    earlier pronoun's antecedent: with several anaphors and no better signal,
+    assignment falls out left to right.
+    """
+    return [("no_match", None)]
+
+
+def _any_mutation_test(ent: EntityMention) -> str | None:
+    return None if ent.mutations else "excluded_no_mutation"
+
+
+def _class_np_passes(ctx: ResolveContext, cand: AnaphorCandidate) -> list[SearchPass]:
+    """Resolve class-referential NPs and mutant shorthand routed through them.
+
+    "The protein" searches only for proteins; generic mutant NPs require an
+    antecedent carrying some mutation record; mutation-labelled NPs ("the
+    K134A mutant") first demand a matching spelled-out mutation and fall
+    back to the bare protein when no mention carries the label, which still
+    names the right molecule even if not the right variant.
+    """
+    if cand.mutant_subkind == det.MUTATION_ONLY:
+        label = cand.mutant_payload
+
+        def label_test(ent: EntityMention) -> str | None:
+            if any(m.specified and m.label == label for m in ent.mutations):
+                return None
+            return "excluded_mutation_label"
+
+        return [("no_match_mutation_label", label_test), ("no_match_protein_fallback", None)]
+    if cand.mutant_subkind == det.GENERIC_MUTANT:
+        return [("no_match_any_mutation", _any_mutation_test)]
+    return [("no_match_class", None)]
+
+
+def _takes_class_np(cand: AnaphorCandidate) -> bool:
+    if cand.kind == det.CLASS_NP:
+        return cand.target_class is not None
+    return cand.kind == det.MUTANT_NP and cand.mutant_subkind in (
+        det.GENERIC_MUTANT, det.MUTATION_ONLY)
+
+
+# Search sieve name -> (which candidates it takes, the passes for one candidate).
+SEARCH_SIEVES = {
+    "mutant_match": (lambda c: c.kind == det.MUTANT_NP and c.mutant_subkind == det.PROTEIN_ONLY,
+                     _mutant_match_passes),
+    "pronominal": (lambda c: c.kind == det.PRONOUN, _pronominal_passes),
+    "class_np": (_takes_class_np, _class_np_passes),
+}
 
 
 def _np_words(ctx: ResolveContext, start: int, end: int, surface: str) -> list[str]:
@@ -227,12 +306,7 @@ def sieve_strict_head(ctx: ResolveContext, state: CorefState) -> None:
     search reaches back to the start of the document.
     """
     head_index = None
-    for cand in ctx.candidates:
-        if cand.kind != det.CLASS_NP:
-            continue
-        if cand.mention_id in state.resolved:
-            ctx.record(cand.mention_id, "strict_head", "skipped_resolved")
-            continue
+    for cand in _pending(ctx, state, "strict_head", lambda c: c.kind == det.CLASS_NP):
         words = _np_words(ctx, cand.start, cand.end, cand.surface)
         if len(words) < 2:
             continue
@@ -268,79 +342,6 @@ def sieve_strict_head(ctx: ResolveContext, state: CorefState) -> None:
             ctx.record(cand.mention_id, "strict_head", "no_match", considered=considered)
 
 
-def sieve_pronominal(ctx: ResolveContext, state: CorefState) -> None:
-    """Resolve pronouns with the linear search under event constraints.
-
-    Candidates go left to right, and each resolution immediately extends a
-    chain, so a later pronoun in the same event complex cannot reuse an
-    earlier pronoun's antecedent: with several anaphors and no better signal,
-    assignment falls out left to right.
-    """
-    for cand in ctx.candidates:
-        if cand.kind != det.PRONOUN:
-            continue
-        if cand.mention_id in state.resolved:
-            ctx.record(cand.mention_id, "pronominal", "skipped_resolved")
-            continue
-        cons = build_constraints(ctx.index, cand, ctx.schema, banned=ctx.candidate_ids)
-        considered: list = [] if ctx.trace is not None else None
-        result = linear_search(ctx.index, cand, cons, state.uf, trace=considered)
-        if result.satisfied:
-            _link(ctx, state, cand, result.ids, "pronominal", considered)
-        else:
-            ctx.record(cand.mention_id, "pronominal", "no_match", considered=considered)
-
-
-def sieve_class_np(ctx: ResolveContext, state: CorefState) -> None:
-    """Resolve class-referential NPs and mutant shorthand routed through them.
-
-    "The protein" searches only for proteins; generic mutant NPs require an
-    antecedent carrying some mutation record; mutation-labelled NPs ("the
-    K134A mutant") first demand a matching spelled-out mutation and fall
-    back to the bare protein when no mention carries the label, which still
-    names the right molecule even if not the right variant.
-    """
-    for cand in ctx.candidates:
-        is_class = cand.kind == det.CLASS_NP and cand.target_class is not None
-        is_mutant = cand.kind == det.MUTANT_NP and cand.mutant_subkind in (
-            det.GENERIC_MUTANT, det.MUTATION_ONLY)
-        if not (is_class or is_mutant):
-            continue
-        if cand.mention_id in state.resolved:
-            ctx.record(cand.mention_id, "class_np", "skipped_resolved")
-            continue
-
-        passes: list[tuple[str, object]] = []
-        if cand.mutant_subkind == det.MUTATION_ONLY:
-            label = cand.mutant_payload
-
-            def label_test(ent: EntityMention, _label=label) -> str | None:
-                if any(m.specified and m.label == _label for m in ent.mutations):
-                    return None
-                return "excluded_mutation_label"
-
-            passes.append(("mutation_label", label_test))
-            passes.append(("protein_fallback", None))
-        elif cand.mutant_subkind == det.GENERIC_MUTANT:
-
-            def any_mutation_test(ent: EntityMention) -> str | None:
-                return None if ent.mutations else "excluded_no_mutation"
-
-            passes.append(("any_mutation", any_mutation_test))
-        else:
-            passes.append(("class", None))
-
-        for pass_name, test in passes:
-            cons = build_constraints(ctx.index, cand, ctx.schema,
-                                     banned=ctx.candidate_ids, antecedent_test=test)
-            considered: list = [] if ctx.trace is not None else None
-            result = linear_search(ctx.index, cand, cons, state.uf, trace=considered)
-            if result.satisfied:
-                _link(ctx, state, cand, result.ids, "class_np", considered)
-                break
-            ctx.record(cand.mention_id, "class_np", f"no_match_{pass_name}", considered=considered)
-
-
 def sieve_event_coref(ctx: ResolveContext, state: CorefState) -> None:
     """Link incomplete nominal event anaphors to prior complete events.
 
@@ -348,12 +349,7 @@ def sieve_event_coref(ctx: ResolveContext, state: CorefState) -> None:
     sentence then the previous one. Anaphors naming regulation-type events
     ("the promotion") are never searched: recursion stops one level down.
     """
-    for cand in ctx.candidates:
-        if cand.kind != det.NOMINAL_EVENT:
-            continue
-        if cand.mention_id in state.resolved:
-            ctx.record(cand.mention_id, "event_coref", "skipped_resolved")
-            continue
+    for cand in _pending(ctx, state, "event_coref", lambda c: c.kind == det.NOMINAL_EVENT):
         target_type = cand.target_class or ""
         if target_type in ctx.schema.regulation_types:
             ctx.record(cand.mention_id, "event_coref", "skipped_regulation")
@@ -391,22 +387,20 @@ def sieve_cleanup(ctx: ResolveContext, state: CorefState
             dropped[cand.mention_id] = "unresolved_anaphor"
             ctx.record(cand.mention_id, "cleanup", "dropped")
 
-    live: dict[str, EventMention] = {ev.id: ev for ev in doc.events if ev.id not in dropped}
-    changed = True
-    while changed:
-        changed = False
-        for ev_id in list(live):
-            ev = live[ev_id]
-            kept_args = tuple(a for a in ev.args if a.ref not in dropped)
-            if len(kept_args) == len(ev.args):
-                continue
-            changed = True
-            stripped = replace(ev, args=kept_args)
-            if structurally_complete(stripped, ctx.schema):
-                live[ev_id] = stripped
-            else:
+    # Children first, so every removal below an event is known when it is reached.
+    events = {ev.id: ev for ev in doc.events}
+    live: dict[str, EventMention] = {}
+    for ev_id in event_order(doc):
+        if ev_id in dropped:
+            continue
+        ev = events[ev_id]
+        kept_args = tuple(a for a in ev.args if a.ref not in dropped)
+        if len(kept_args) < len(ev.args):
+            ev = replace(ev, args=kept_args)
+            if not structurally_complete(ev, ctx.schema):
                 dropped[ev_id] = "argument_removed"
-                del live[ev_id]
+                continue
+        live[ev_id] = ev
 
     entity_ids = {e.id for e in doc.entities}
     dropped_mentions = {k: v for k, v in dropped.items() if k in entity_ids}
@@ -425,9 +419,9 @@ def sieve_cleanup(ctx: ResolveContext, state: CorefState
 RESOLUTION_SIEVES = {
     "exact_string": sieve_exact_string,
     "shared_grounding": sieve_shared_grounding,
-    "mutant_match": sieve_mutant_match,
+    "mutant_match": partial(_search, "mutant_match"),
     "strict_head": sieve_strict_head,
-    "pronominal": sieve_pronominal,
-    "class_np": sieve_class_np,
+    "pronominal": partial(_search, "pronominal"),
+    "class_np": partial(_search, "class_np"),
     "event_coref": sieve_event_coref,
 }

@@ -35,7 +35,6 @@ from .model import (
     validate_document,
 )
 from .schema import ArgSchema, default_schema, with_completeness
-from .sieves import SIEVE_RANK
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
@@ -284,7 +283,6 @@ def load_result(data: bytes | str, schema: ArgSchema | None = None
             anaphor_id=l["anaphor"],
             antecedent_ids=tuple(l["antecedents"]),
             sieve_name=l["sieve"],
-            confidence_rank=SIEVE_RANK.get(l["sieve"], 0),
         )
         for l in raw.get("links", ())
     )

@@ -207,3 +207,32 @@ def _sprinkle_pos(rng: random.Random, doc: dict) -> None:
 def synth_corpus(seed: int, count: int) -> list[dict]:
     rng = random.Random(seed)
     return [synth_doc(rng, i) for i in range(count)]
+
+
+def regulation_chain(levels: int, antecedent: bool = True) -> dict:
+    """A regulation nested ``levels`` deep, listed outermost first.
+
+    "The binding activates STAT3." is level 1: an incomplete nominal binding
+    event controls STAT3. Each further sentence "AKT1 regulates this."
+    regulates the level below it. With ``antecedent`` the document opens
+    with "RAF1 binds MEK1.", which the nominal binding resolves to; without
+    it the binding finds no antecedent, and cleanup removes every level.
+    """
+    sentences, entities, events = [], [], []
+    if antecedent:
+        sentences.append("RAF1 binds MEK1.")
+        entities += [Ent("T1", 0, "RAF1", "Protein"), Ent("T2", 0, "MEK1", "Protein")]
+        events.append(Ev("B1", 0, "binds", "Binding", [("theme1", "T1"), ("theme2", "T2")]))
+    s = len(sentences)
+    sentences.append("The binding activates STAT3.")
+    entities.append(Ent("S1", s, "STAT3", "Protein"))
+    events += [Ev("B2", s, "binding", "Binding", []),
+               Ev("R1", s, "activates", "Regulation", [("controller", "B2"), ("controlled", "S1")])]
+    for level in range(2, levels + 1):
+        s = len(sentences)
+        sentences.append("AKT1 regulates this.")
+        entities.append(Ent(f"A{level}", s, "AKT1", "Protein"))
+        events.append(Ev(f"R{level}", s, "regulates", "Regulation",
+                         [("controller", f"A{level}"), ("controlled", f"R{level - 1}")]))
+    events.reverse()
+    return _doc(f"chain{levels}", sentences, entities, events)

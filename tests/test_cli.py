@@ -1,10 +1,12 @@
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from biocoref import fixtures
+from synth import regulation_chain
 
 CLI = [sys.executable, "-m", "biocoref.cli"]
 
@@ -80,6 +82,18 @@ def test_malformed_sibling_does_not_abort_batch(tmp_path, corpus_dir, jobs):
     assert [p.name for p in out.iterdir()] == ["a_good.json"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_deep_chain_does_not_abort_batch(tmp_path, corpus_dir, jobs):
+    (tmp_path / "a_deep.json").write_text(json.dumps(regulation_chain(1500)), encoding="utf-8")
+    shutil.copy(corpus_dir / "ex12_foxp3.json", tmp_path / "b_good.json")
+    out = tmp_path / "out"
+    proc = run_cli("resolve", "--in", str(tmp_path / "*.json"), "--out", str(out),
+                   "--jobs", jobs)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.strip().splitlines()[-1])["docs"] == 2
+    assert sorted(p.name for p in out.iterdir()) == ["a_deep.json", "b_good.json"]
+
+
 def test_disable_sieve_drops_foxp3_expression(tmp_path, corpus_dir):
     out = tmp_path / "ablate"
     proc = run_cli("resolve", "--in", str(corpus_dir / "ex12_foxp3.json"),
@@ -92,7 +106,6 @@ def test_disable_sieve_drops_foxp3_expression(tmp_path, corpus_dir):
 
 
 def test_strict_mode_aborts_on_first_failure(tmp_path, corpus_dir):
-    import shutil
     batch = tmp_path / "batch"
     batch.mkdir()
     shutil.copy(corpus_dir / "ex12_foxp3.json", batch / "a_ok.json")

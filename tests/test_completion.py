@@ -1,11 +1,11 @@
 import json
 
 from biocoref import resolver
-from biocoref.completion import assign_multi_anaphors
 from biocoref.fixtures import Ent, Ev, _doc
 from biocoref.standoff import load_document
 
 from conftest import completed_key, load_fixture
+from synth import regulation_chain
 
 
 def _resolve(raw):
@@ -46,25 +46,12 @@ def test_event_without_anaphors_passes_through():
     assert [(a.role, a.ref) for a in c.args] == [("cause", "T1"), ("theme", "T2")]
 
 
-def test_assign_multi_anaphors_left_to_right():
-    # Text-order pairing: first anaphor takes the first group.
-    assert assign_multi_anaphors(["it", "its"], [["c-Cbl"], ["MLK3"]]) == [
-        ("it", ["c-Cbl"]), ("its", ["MLK3"])]
-
-
-def test_assign_multi_anaphors_degenerate_and_partial():
-    assert assign_multi_anaphors(["it"], [["X"]]) == [("it", ["X"])]
-    assert assign_multi_anaphors(["it", "its"], [["X"]]) == [("it", ["X"]), ("its", None)]
-
-
 def test_engine_matches_left_to_right_assignment(corpus, config):
     doc = load_fixture(corpus, "ex6_ccbl_mlk3")
     res = resolver.resolve_document(doc, config)
-    by_anaphor = {l.anaphor_id: list(l.antecedent_ids) for l in res.links}
-    anaphors = sorted(by_anaphor)  # T3 before T4 matches text order here
-    groups = [by_anaphor[a] for a in anaphors]
-    assert assign_multi_anaphors(anaphors, groups) == [
-        ("T3", ["T1"]), ("T4", ["T2"])]
+    # Text-order pairing: the first anaphor takes the first antecedent.
+    assert [(l.anaphor_id, l.antecedent_ids) for l in res.links] == [
+        ("T3", ("T1",)), ("T4", ("T2",))]
 
 
 def test_regulation_duplicated_per_split_child():
@@ -84,6 +71,15 @@ def test_regulation_duplicated_per_split_child():
     assert sorted(c.args[0].ref for c in regs) == ["E1.c0", "E1.c1"]
     assert all(c.args[1].ref == "E3" for c in regs)
     assert all("E2" in c.provenance for c in regs)
+
+
+def test_deep_regulation_chain_resolves():
+    # 1,500 levels, past the default recursion limit of 1,000.
+    res = _resolve(regulation_chain(1500))
+    assert [(l.anaphor_id, l.antecedent_ids) for l in res.links] == [("B2", ("B1",))]
+    assert len(res.completed) == 1501  # R1500 down to R1, then B1
+    top = res.completed[0]
+    assert top.id == "R1500" and top.args[1].ref == "R1499" and top.provenance == ("B2",)
 
 
 def test_self_relation_suppressed():

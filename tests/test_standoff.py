@@ -127,7 +127,7 @@ def test_save_rejects_cataphoric_link(corpus, config):
     from biocoref.model import CorefLink
     doc = load_fixture(corpus, "ex12_foxp3")
     backwards = CorefLink(anaphor_id="T1", antecedent_ids=("T2",),
-                          sieve_name="pronominal", confidence_rank=5)
+                          sieve_name="pronominal")
     with pytest.raises(SchemaViolation, match="precede"):
         save_result(doc, links=(backwards,))
 

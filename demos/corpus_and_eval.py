@@ -1,7 +1,8 @@
 """Run the bundled corpus end to end and score it.
 
-Writes the example corpus to a scratch directory, resolves it twice (full
-pipeline and with every sieve disabled), then prints the throughput table.
+Writes the example corpus to a temporary directory that it removes again,
+resolves the corpus twice (full pipeline and with every sieve disabled),
+then prints the throughput table.
 
     python3 demos/corpus_and_eval.py
 """
@@ -15,9 +16,9 @@ from biocoref.evaluation import RunOutput, format_report, throughput
 from biocoref.fixtures import corpus_documents, write_corpus
 from biocoref.resolver import validate_disabled
 
-scratch = Path(tempfile.mkdtemp(prefix="biocoref-demo-"))
-write_corpus(scratch / "corpus")
-print(f"corpus written to {scratch / 'corpus'}")
+with tempfile.TemporaryDirectory(prefix="biocoref-demo-") as scratch:
+    written = write_corpus(Path(scratch) / "corpus")
+    print(f"corpus of {len(written)} files written to a temporary directory")
 
 full_cfg = ResolverConfig.default()
 base_cfg = ResolverConfig.default(disabled_sieves=validate_disabled(["all"]))

@@ -7,7 +7,9 @@ Subcommands:
     fixtures  write or validate the bundled example corpus
 
 Exit codes: 0 success, 1 one or more documents failed, 2 configuration error.
-Per-run summaries go to stderr as JSON so stdout stays scriptable.
+Per-run summaries go to stderr as JSON so stdout stays scriptable. ``resolve``
+fans documents, including each line of an NDJSON stream, out over its worker
+processes; the main process reads every input and writes every output.
 """
 
 from __future__ import annotations
@@ -15,9 +17,15 @@ from __future__ import annotations
 import argparse
 import glob as globlib
 import json
+import math
+import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from contextlib import ExitStack
+from functools import partial
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 from . import fixtures as fixtures_mod
 from .detection import default_lexicon, load_lexicon_file
@@ -49,61 +57,110 @@ def _build_config(args) -> ResolverConfig:
                           disabled_sieves=disabled, trace=args.emit_provenance)
 
 
-def _resolve_file(path: str, config: ResolverConfig) -> tuple[bytes, dict]:
-    """Resolve one input file: a single JSON document or an NDJSON stream."""
-    data = Path(path).read_bytes()
-    try:
-        docs = [load_document(data, schema=config.schema)]
-        ndjson = False
-    except MalformedInput:
-        text = data.decode("utf-8")
-        lines = [line for line in text.splitlines() if line.strip()]
-        if len(lines) < 2:
-            raise
-        docs = [load_document(line, schema=config.schema) for line in lines]
-        ndjson = True
-
-    outputs = []
-    totals: dict = {}
-    for doc in docs:
-        resolution = resolve_document(doc, config)
-        outputs.append(resolution.to_bytes(emit_provenance=config.trace))
-        for key, value in resolution.counters.items():
-            if isinstance(value, int):
-                totals[key] = totals.get(key, 0) + value
-            elif isinstance(value, dict):
-                bucket = totals.setdefault(key, {})
-                for k, v in value.items():
-                    bucket[k] = bucket.get(k, 0) + v
-    if ndjson:
-        # One compact result per line, mirroring the input stream shape.
-        payload = b"".join(
-            json.dumps(json.loads(out), ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-            + b"\n"
-            for out in outputs
-        )
-    else:
-        payload = outputs[0]
-    return payload, totals
-
-
 def _worker_init(args: argparse.Namespace) -> None:
     _WORKER_CONFIG["config"] = _build_config(args)
 
 
-def _resolve_path(path: str, config: ResolverConfig | None = None
-                  ) -> tuple[str, bytes | None, dict | None, str | None]:
-    """``(path, output, counters, None)`` for one input file, or ``(path,
-    None, None, error)`` when it cannot be resolved. ``config`` defaults to
-    the one a pool worker built at start-up."""
+def _resolve_text(text: bytes | str, line: bool, config: ResolverConfig
+                  ) -> tuple[bytes | None, dict | None, str | None]:
+    """``(output, counters, None)`` for one document's text, or ``(None, None,
+    error)`` when it cannot be resolved. ``line`` selects the compact NDJSON
+    line of a stream document over the indented result file."""
     try:
-        out, counters = _resolve_file(path, config or _WORKER_CONFIG["config"])
-        return path, out, counters, None
-    except (MalformedInput, SchemaViolation, OSError, ValueError, KeyError) as exc:
-        return path, None, None, f"{type(exc).__name__}: {exc}"
+        resolution = resolve_document(load_document(text, schema=config.schema), config)
+        return (resolution.to_bytes(emit_provenance=config.trace, line=line),
+                resolution.counters, None)
+    except (MalformedInput, SchemaViolation, ValueError, KeyError) as exc:
+        return None, None, f"{type(exc).__name__}: {exc}"
+
+
+def _resolve_task(task: list[tuple[bytes | str, bool]], config: ResolverConfig | None = None
+                  ) -> list:
+    """``_resolve_text`` over one task's ``(text, line)`` documents. ``config``
+    defaults to the one a pool worker built at start-up."""
+    config = config or _WORKER_CONFIG["config"]
+    return [_resolve_text(text, line, config) for text, line in task]
+
+
+def _documents(data: bytes) -> tuple[list[bytes | str], bool]:
+    """The documents of one input file, and whether they are the lines of an
+    NDJSON stream: a file is a stream when it does not load as one JSON object
+    and has at least two non-empty lines. Otherwise the file's bytes are its
+    one document; non-ASCII text takes less memory as UTF-8 than as a str."""
+    text = data.decode("utf-8")
+    lines = [line for line in text.splitlines() if line.strip()]
+    if len(lines) < 2:
+        return [data], False
+    try:
+        # Parsing a stream stops after its first line; a document spread over
+        # several lines is parsed in full here and again by its worker.
+        stream = not isinstance(json.loads(text), dict)
+    except (ValueError, RecursionError):
+        stream = True
+    return (lines, True) if stream else ([data], False)
+
+
+def _task_size(documents: int, jobs: int) -> int:
+    # A quarter of one worker's share, as Pool.map sizes its chunks: every
+    # task costs a round trip between processes, and smaller tasks keep the
+    # workers evenly loaded to the end.
+    return math.ceil(documents / (4 * jobs))
+
+
+def _tasks(paths: list[str], jobs: int, inputs: deque) -> Iterator[list[tuple[bytes | str, bool]]]:
+    """Read the input files in order and yield their documents, in order, as
+    lists of ``(text, line)``: consecutive single-document files are batched,
+    and each line of a stream is a document of its own, with ``line`` set.
+    Before a file's first document is yielded, ``(path, documents, read
+    error)`` is appended to ``inputs``; a file that cannot be read holds no
+    documents."""
+    batch: list[tuple[bytes | str, bool]] = []
+    batch_size = _task_size(len(paths), jobs)
+    for path in paths:
+        try:
+            docs, line = _documents(Path(path).read_bytes())
+        except (OSError, UnicodeDecodeError) as exc:
+            inputs.append((path, 0, f"{type(exc).__name__}: {exc}"))
+            continue
+        inputs.append((path, len(docs), None))
+        if not line:
+            batch.append((docs[0], False))
+            if len(batch) == batch_size:
+                yield batch
+                batch = []
+            continue
+        if batch:
+            yield batch
+            batch = []
+        size = _task_size(len(docs), jobs)
+        for i in range(0, len(docs), size):
+            yield [(doc, True) for doc in docs[i:i + size]]
+    if batch:
+        yield batch
+
+
+def _by_file(results: Iterator[tuple], inputs: deque) -> Iterator[tuple[str, list, str | None]]:
+    """Collate per-document results into ``(path, results, error)`` per input
+    file, in input order. ``error`` is the file's read error or else its first
+    failing document's. ``inputs`` is filled by ``_tasks``, which may run in
+    the pool's task thread; it appends each file before handing out the
+    file's documents, so a result's file is always there when it arrives."""
+    pending: list[tuple] = []
+    for result in results:
+        pending.append(result)
+        while inputs and len(pending) >= inputs[0][1]:
+            path, documents, error = inputs.popleft()
+            done, pending = pending[:documents], pending[documents:]
+            yield path, done, error or next((e for _, _, e in done if e is not None), None)
+    for path, _, error in inputs:  # unreadable files after the last document
+        yield path, [], error
 
 
 def cmd_resolve(args) -> int:
+    if args.jobs < 1:
+        print(f"configuration error: --jobs must be at least 1, not {args.jobs}",
+              file=sys.stderr)
+        return 2
     try:
         config = _build_config(args)
     except Exception as exc:
@@ -112,6 +169,16 @@ def cmd_resolve(args) -> int:
 
     paths = sorted(globlib.glob(args.inputs, recursive=True))
     out_dir = Path(args.out)
+    out_names = {path: Path(path).stem + ".json" for path in paths}
+    by_name: dict[str, list[str]] = {}
+    for path, name in out_names.items():
+        by_name.setdefault(name, []).append(path)
+    clashes = [f"{out_dir / name} <- {', '.join(group)}"
+               for name, group in by_name.items() if len(group) > 1]
+    if clashes:
+        print(f"configuration error: inputs share an output file: {'; '.join(clashes)}",
+              file=sys.stderr)
+        return 2
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summary: dict = {
@@ -126,26 +193,32 @@ def cmd_resolve(args) -> int:
         "events_dropped": 0,
     }
 
-    if args.jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_worker_init,
-                                 initargs=(args,)) as pool:
-            results = list(pool.map(_resolve_path, paths))
-    else:
-        results = [_resolve_path(path, config) for path in paths]
-
-    for path, out, counters, error in results:
-        if error is not None:
-            summary["failed"].append({"file": path, "error": error})
-            if args.strict:
-                break
-            continue
-        (out_dir / (Path(path).stem + ".json")).write_bytes(out)
-        summary["docs"] += 1
-        for key in ("anaphors_detected", "anaphors_resolved", "anaphors_dropped",
-                    "events_completed", "events_coref_derived", "events_dropped"):
-            summary[key] += counters[key]
-        for sieve, n in counters["resolved_by_sieve"].items():
-            summary["resolved_by_sieve"][sieve] = summary["resolved_by_sieve"].get(sieve, 0) + n
+    inputs: deque = deque()
+    tasks = _tasks(paths, args.jobs, inputs)
+    with ExitStack() as stack:
+        if args.jobs > 1 and paths:
+            # Forked workers start without a fresh interpreter and import; the
+            # pool forks them before it starts its own threads.
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
+                args.jobs, initializer=_worker_init, initargs=(args,)))
+            results = pool.imap(_resolve_task, tasks)
+        else:
+            results = map(partial(_resolve_task, config=config), tasks)
+        for path, docs, error in _by_file(chain.from_iterable(results), inputs):
+            if error is not None:
+                summary["failed"].append({"file": path, "error": error})
+                if args.strict:
+                    break
+                continue
+            (out_dir / out_names[path]).write_bytes(b"".join(out for out, _, _ in docs))
+            summary["docs"] += 1
+            for _, counters, _ in docs:
+                for key in ("anaphors_detected", "anaphors_resolved", "anaphors_dropped",
+                            "events_completed", "events_coref_derived", "events_dropped"):
+                    summary[key] += counters[key]
+                for sieve, n in counters["resolved_by_sieve"].items():
+                    summary["resolved_by_sieve"][sieve] = (
+                        summary["resolved_by_sieve"].get(sieve, 0) + n)
 
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     return 1 if summary["failed"] else 0

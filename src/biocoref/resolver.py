@@ -54,13 +54,14 @@ class Resolution:
     counters: dict[str, object]
     trace: list[dict] | None = None
 
-    def to_bytes(self, emit_provenance: bool = False) -> bytes:
+    def to_bytes(self, emit_provenance: bool = False, line: bool = False) -> bytes:
         return save_result(
             self.doc,
             links=tuple(self.links),
             completed=tuple(self.completed),
             chains=self.chains if emit_provenance else None,
             trace=self.trace if emit_provenance else None,
+            line=line,
         )
 
 

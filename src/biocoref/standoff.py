@@ -86,7 +86,7 @@ def load_document(data: bytes | str, schema: ArgSchema | None = None) -> Documen
             raise MalformedInput(str(exc)) from None
     try:
         raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise MalformedInput(str(exc)) from None
     if not isinstance(raw, dict):
         raise MalformedInput("document must be a JSON object")
@@ -228,9 +228,10 @@ def document_to_dict(doc: Document) -> dict:
 def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
                 completed: tuple[CompletedEvent, ...] | list = (),
                 chains: list[list[str]] | None = None,
-                trace: list | None = None) -> bytes:
+                trace: list | None = None, line: bool = False) -> bytes:
     """Serialize a resolved document; rejects links or events that violate
-    their invariants against ``doc``. Output is deterministic byte-for-byte.
+    their invariants against ``doc``. Output is deterministic byte-for-byte:
+    an indented result file, or with ``line`` one compact NDJSON line.
     """
     starts = {ev.id: ev.trigger_start for ev in doc.events}
     starts.update((e.id, e.start) for e in doc.entities)
@@ -265,6 +266,8 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
         out["chains"] = chains
     if trace is not None:
         out["trace"] = trace
+    if line:
+        return (json.dumps(out, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
     return (json.dumps(out, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
 
 
@@ -275,7 +278,7 @@ def load_result(data: bytes | str, schema: ArgSchema | None = None
         data = data.decode("utf-8")
     try:
         raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedInput(str(exc)) from None
     doc = document_from_dict(raw, schema=schema)
     links = tuple(

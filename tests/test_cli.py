@@ -147,14 +147,15 @@ def test_unknown_sieve_name_exits_2(tmp_path, corpus_dir):
     assert proc.returncode == 2
 
 
-def test_ndjson_stream_input(tmp_path, corpus_dir):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ndjson_stream_input(tmp_path, corpus_dir, jobs):
     docs = fixtures.corpus_documents()
-    stream = tmp_path / "stream.json"
+    stream = tmp_path / "stream.json"  # named .json: a stream is told apart by its content
     lines = [json.dumps(docs["ex12_foxp3"], ensure_ascii=False),
              json.dumps(docs["ex13_rb_e2f"], ensure_ascii=False)]
     stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    proc = run_cli("resolve", "--in", str(stream), "--out", str(out))
+    proc = run_cli("resolve", "--in", str(stream), "--out", str(out), "--jobs", jobs)
     assert proc.returncode == 0, proc.stderr
     result_lines = (out / "stream.json").read_text(encoding="utf-8").strip().splitlines()
     assert len(result_lines) == 2
@@ -240,3 +241,114 @@ def test_repo_fixture_corpus_is_current():
     from pathlib import Path
     repo_fixtures = Path(__file__).resolve().parents[1] / "fixtures"
     assert fixtures.validate_corpus(repo_fixtures) == []
+
+
+def write_stream(path, raws):
+    path.write_text("".join(json.dumps(raw, ensure_ascii=False) + "\n" for raw in raws),
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize("provenance", [False, True])
+def test_stream_output_is_compact_and_jobs_invariant(tmp_path, corpus_dir, provenance):
+    docs = fixtures.corpus_documents()
+    names = sorted(docs)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for name in names:
+        shutil.copy(corpus_dir / f"{name}.json", batch)
+    # Sorts among the single-document files, so its lines follow a part-filled task.
+    write_stream(batch / "ex15_stream.ndjson", [docs[name] for name in names])
+    flags = ["--emit-provenance"] if provenance else []
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out-{jobs}"
+        proc = run_cli("resolve", "--in", str(batch / "*"), "--out", str(out),
+                       "--jobs", jobs, *flags)
+        assert proc.returncode == 0, proc.stderr
+        outputs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outputs["1"] == outputs["2"]
+    files = outputs["1"]
+    lines = files.pop("ex15_stream.json").decode("utf-8").splitlines(keepends=True)
+    assert len(lines) == len(files) == len(names)
+    for name, line in zip(names, lines):
+        result = json.loads(files[f"{name}.json"])
+        assert line == json.dumps(result, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_stream_with_failing_lines_writes_nothing(tmp_path, corpus_dir, jobs):
+    docs = fixtures.corpus_documents()
+    raws = [docs[name] for name in sorted(docs)]
+    lines = [json.dumps(raw, ensure_ascii=False) for raw in raws]
+    lines[3] = json.dumps({"doc_id": "broken"})  # first failing line
+    lines[17] = "{not json"                      # a later task at --jobs 2
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    shutil.copy(corpus_dir / "ex12_foxp3.json", batch / "a_ok.json")
+    (batch / "b_stream.ndjson").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    shutil.copy(corpus_dir / "ex13_rb_e2f.json", batch / "c_after.json")
+    want = [{"file": str(batch / "b_stream.ndjson"),
+             "error": "SchemaViolation: broken: missing field 'text'"}]
+    for strict, written in (([], ["a_ok.json", "c_after.json"]), (["--strict"], ["a_ok.json"])):
+        out = tmp_path / f"out{len(strict)}"
+        proc = run_cli("resolve", "--in", str(batch / "*"), "--out", str(out),
+                       "--jobs", jobs, *strict)
+        assert proc.returncode == 1, proc.stderr
+        summary = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert summary["failed"] == want
+        assert summary["docs"] == len(written)
+        assert sorted(p.name for p in out.iterdir()) == written
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_deeply_nested_json_does_not_abort_batch(tmp_path, corpus_dir, jobs):
+    deep = tmp_path / "a_deep.json"
+    deep.write_text('{"doc_id": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    shutil.copy(corpus_dir / "ex12_foxp3.json", tmp_path / "b_good.json")
+    out = tmp_path / "out"
+    proc = run_cli("resolve", "--in", str(tmp_path / "*.json"), "--out", str(out),
+                   "--jobs", jobs)
+    assert proc.returncode == 1, proc.stderr
+    summary = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert [f["file"] for f in summary["failed"]] == [str(deep)]
+    assert summary["failed"][0]["error"].startswith("MalformedInput: ")
+    assert [p.name for p in out.iterdir()] == ["b_good.json"]
+
+
+@pytest.mark.parametrize("names", [("a/x.json", "b/x.json"), ("x.json", "x.ndjson")])
+def test_output_name_collision_exits_2(tmp_path, corpus_dir, names):
+    for name in names:
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        shutil.copy(corpus_dir / "ex12_foxp3.json", tmp_path / name)
+    out = tmp_path / "out"
+    proc = run_cli("resolve", "--in", str(tmp_path / "**" / "x.*json"), "--out", str(out))
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr
+    assert all(str(tmp_path / name) in proc.stderr for name in names)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(tmp_path, corpus_dir, jobs):
+    out = tmp_path / "out"
+    proc = run_cli("resolve", "--in", str(corpus_dir / "ex12_foxp3.json"), "--out", str(out),
+                   "--jobs", jobs)
+    assert proc.returncode == 2
+    assert "--jobs" in proc.stderr
+    assert not out.exists()
+
+
+def test_stream_is_told_apart_by_content(tmp_path, corpus_dir):
+    docs = fixtures.corpus_documents()
+    shutil.copy(corpus_dir / "ex12_foxp3.json", tmp_path / "a_indented.json")
+    (tmp_path / "b_array.json").write_text("[\n1\n]\n")  # loads, but not as an object
+    (tmp_path / "c_one_line.json").write_text(json.dumps(docs["ex13_rb_e2f"]) + "\n\n  \n")
+    out = tmp_path / "out"
+    proc = run_cli("resolve", "--in", str(tmp_path / "*.json"), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    summary = json.loads(proc.stderr.strip().splitlines()[-1])
+    # A stream's record is its first line's error, not "document must be a JSON object".
+    assert summary["failed"] == [{"file": str(tmp_path / "b_array.json"), "error":
+                                  "MalformedInput: Expecting value: line 1 column 2 (char 1)"}]
+    assert sorted(p.name for p in out.iterdir()) == ["a_indented.json", "c_one_line.json"]
+    assert (out / "c_one_line.json").read_text(encoding="utf-8").startswith('{\n  "doc_id"')

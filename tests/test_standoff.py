@@ -42,6 +42,13 @@ def test_bad_json_is_malformed_input():
         load_document(b"{not json")
 
 
+def test_deep_nesting_is_malformed_input():
+    deep = '{"doc_id": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    for load in (load_document, load_result):
+        with pytest.raises(MalformedInput, match="recursion"):
+            load(deep)
+
+
 def test_wrongly_typed_offsets_are_schema_violations():
     raw = {"doc_id": "d", "text": "RAF1",
            "sentences": [{"index": 0, "start": 0, "end": 4, "tokens": []}],

@@ -40,7 +40,6 @@ from .evaluation import (
     throughput,
 )
 from .grounding import default_table, load_table_file
-from .model import MalformedInput, SchemaViolation
 from .resolver import ResolverConfig, resolve_document, validate_disabled
 from .schema import default_schema, load_schema_file
 from .standoff import load_document
@@ -64,13 +63,14 @@ def _worker_init(args: argparse.Namespace) -> None:
 def _resolve_text(text: bytes | str, line: bool, config: ResolverConfig
                   ) -> tuple[bytes | None, dict | None, str | None]:
     """``(output, counters, None)`` for one document's text, or ``(None, None,
-    error)`` when it cannot be resolved. ``line`` selects the compact NDJSON
-    line of a stream document over the indented result file."""
+    error)`` when it cannot be resolved, whatever the cause. ``line`` selects
+    the compact NDJSON line of a stream document over the indented result
+    file."""
     try:
         resolution = resolve_document(load_document(text, schema=config.schema), config)
         return (resolution.to_bytes(emit_provenance=config.trace, line=line),
                 resolution.counters, None)
-    except (MalformedInput, SchemaViolation, ValueError, KeyError) as exc:
+    except Exception as exc:  # contained here: one document never aborts the batch
         return None, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -211,7 +211,7 @@ def cmd_resolve(args) -> int:
                     break
                 continue
             (out_dir / out_names[path]).write_bytes(b"".join(out for out, _, _ in docs))
-            summary["docs"] += 1
+            summary["docs"] += len(docs)
             for _, counters, _ in docs:
                 for key in ("anaphors_detected", "anaphors_resolved", "anaphors_dropped",
                             "events_completed", "events_coref_derived", "events_dropped"):

@@ -135,7 +135,8 @@ class RunOutput:
 def load_run(path: str | Path) -> list[RunOutput]:
     """Read resolver output from a result file or a directory of them.
 
-    An empty directory is a legal empty corpus; a missing path is an error.
+    An empty directory is a legal empty corpus. A missing path is an error,
+    and so is a file that is not one JSON result object with a ``doc_id``.
     """
     path = Path(path)
     if not path.exists():
@@ -143,7 +144,12 @@ def load_run(path: str | Path) -> list[RunOutput]:
     files = sorted(path.glob("*.json")) if path.is_dir() else [path]
     outputs = []
     for f in files:
-        raw = json.loads(f.read_text(encoding="utf-8"))
+        try:  # JSON and UTF-8 decode errors are ValueErrors
+            raw = json.loads(f.read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise EvaluationError(f"{f}: not one JSON result object: {exc}") from None
+        if not isinstance(raw, dict) or not isinstance(raw.get("doc_id"), str):
+            raise EvaluationError(f"{f}: not a result object with a doc_id")
         outputs.append(RunOutput(doc_id=raw["doc_id"], completed=raw.get("completed_events", [])))
     return outputs
 

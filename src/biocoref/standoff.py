@@ -18,6 +18,7 @@ the same inputs always produce byte-identical output.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from typing import Any
 
 from .model import (
@@ -72,6 +73,10 @@ def _require_list(obj: dict, key: str, where: str, optional: bool = False) -> li
     return value
 
 
+# The default of an absent list field on the fast path; never mutated.
+_NO_ITEMS: list = []
+
+
 def load_document(data: bytes | str, schema: ArgSchema | None = None) -> Document:
     """Parse one standoff JSON document and validate every invariant.
 
@@ -94,66 +99,88 @@ def load_document(data: bytes | str, schema: ArgSchema | None = None) -> Documen
 
 
 def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
+    """Build a Document from one parsed standoff object and validate it.
+
+    A record whose fields all have their exact JSON types is built directly;
+    any other record goes through the ``_require*`` checks, which name its
+    first fault.
+    """
     if schema is None:
         schema = default_schema()
     doc_id = _require_str(raw, "doc_id", "document")
     text = _require_str(raw, "text", doc_id)
+    token_where, sentence_where = f"{doc_id} token", f"{doc_id} sentence"
 
     sentences = []
     for s in _require_list(raw, "sentences", doc_id):
-        tokens = tuple(
-            Token(
-                start=_require_int(t, "start", f"{doc_id} token"),
-                end=_require_int(t, "end", f"{doc_id} token"),
-                surface=text[t["start"]:t["end"]],
-                pos_hint=_optional_str(t, "pos", f"{doc_id} token"),
-            )
-            for t in _require_list(s, "tokens", f"{doc_id} sentence", optional=True)
-        )
+        tokens = []
+        for t in _require_list(s, "tokens", sentence_where, optional=True):
+            if not (type(t) is dict and type(start := t.get("start")) is int
+                    and type(end := t.get("end")) is int
+                    and ((pos := t.get("pos")) is None or type(pos) is str)):
+                start = _require_int(t, "start", token_where)
+                end = _require_int(t, "end", token_where)
+                pos = _optional_str(t, "pos", token_where)
+            tokens.append(Token(start, end, text[start:end], pos))
         sentences.append(Sentence(
-            index=_require_int(s, "index", f"{doc_id} sentence"),
-            start=_require_int(s, "start", f"{doc_id} sentence"),
-            end=_require_int(s, "end", f"{doc_id} sentence"),
-            tokens=tokens,
+            index=_require_int(s, "index", sentence_where),
+            start=_require_int(s, "start", sentence_where),
+            end=_require_int(s, "end", sentence_where),
+            tokens=tuple(tokens),
         ))
 
     entities = []
     for e in _require_list(raw, "entities", doc_id):
-        ent_id = _require_str(e, "id", f"{doc_id} entity")
-        start = _require_int(e, "start", ent_id)
-        end = _require_int(e, "end", ent_id)
-        where = f"{doc_id} {ent_id}"
-        mutations = tuple(
-            MutationRecord(kind=_require_str(m, "kind", where),
-                           label=_optional_str(m, "label", where))
-            for m in _require_list(e, "mutations", where, optional=True)
-        )
-        entities.append(EntityMention(
-            id=ent_id,
-            start=start,
-            end=end,
-            label=_require_str(e, "label", ent_id),
-            surface=text[start:end] if 0 <= start <= end <= len(text) else "",
-            grounding_id=_optional_str(e, "grounding", ent_id),
-            mutations=mutations,
-        ))
+        fast = (type(e) is dict and type(ent_id := e.get("id")) is str
+                and type(start := e.get("start")) is int and type(end := e.get("end")) is int
+                and type(items := e.get("mutations", _NO_ITEMS)) is list
+                and type(label := e.get("label")) is str
+                and ((grounding := e.get("grounding")) is None or type(grounding) is str))
+        if not fast:
+            ent_id = _require_str(e, "id", f"{doc_id} entity")
+            start = _require_int(e, "start", ent_id)
+            end = _require_int(e, "end", ent_id)
+            items = _require_list(e, "mutations", f"{doc_id} {ent_id}", optional=True)
+        mutations = []
+        for m in items:
+            if not (type(m) is dict and type(kind := m.get("kind")) is str
+                    and ((mut_label := m.get("label")) is None or type(mut_label) is str)):
+                where = f"{doc_id} {ent_id}"
+                kind = _require_str(m, "kind", where)
+                mut_label = _optional_str(m, "label", where)
+            mutations.append(MutationRecord(kind, mut_label))
+        if not fast:
+            label = _require_str(e, "label", ent_id)
+            grounding = _optional_str(e, "grounding", ent_id)
+        surface = text[start:end] if 0 <= start <= end <= len(text) else ""
+        entities.append(EntityMention(ent_id, start, end, label, surface, grounding,
+                                      tuple(mutations)))
 
     events = []
     for ev in _require_list(raw, "events", doc_id):
-        ev_id = _require_str(ev, "id", f"{doc_id} event")
-        where = f"{doc_id} {ev_id}"
-        args = tuple(
-            EventArg(role=_require_str(a, "role", where), ref=_require_str(a, "ref", where))
-            for a in _require_list(ev, "args", where, optional=True)
-        )
-        events.append(EventMention(
-            id=ev_id,
-            trigger_start=_require_int(ev, "trigger_start", ev_id),
-            trigger_end=_require_int(ev, "trigger_end", ev_id),
-            event_type=_require_str(ev, "type", ev_id),
-            args=args,
-            polarity=_optional_str(ev, "polarity", ev_id, "Unspecified"),
-        ))
+        fast = (type(ev) is dict and type(ev_id := ev.get("id")) is str
+                and type(items := ev.get("args", _NO_ITEMS)) is list
+                and type(trigger_start := ev.get("trigger_start")) is int
+                and type(trigger_end := ev.get("trigger_end")) is int
+                and type(event_type := ev.get("type")) is str
+                and type(polarity := ev.get("polarity", "Unspecified")) is str)
+        if not fast:
+            ev_id = _require_str(ev, "id", f"{doc_id} event")
+            items = _require_list(ev, "args", f"{doc_id} {ev_id}", optional=True)
+        args = []
+        for a in items:
+            if not (type(a) is dict and type(role := a.get("role")) is str
+                    and type(ref := a.get("ref")) is str):
+                where = f"{doc_id} {ev_id}"
+                role, ref = _require_str(a, "role", where), _require_str(a, "ref", where)
+            args.append(EventArg(role, ref))
+        if not fast:
+            trigger_start = _require_int(ev, "trigger_start", ev_id)
+            trigger_end = _require_int(ev, "trigger_end", ev_id)
+            event_type = _require_str(ev, "type", ev_id)
+            polarity = _optional_str(ev, "polarity", ev_id, "Unspecified")
+        events.append(EventMention(ev_id, trigger_start, trigger_end, event_type,
+                                   tuple(args), polarity))
 
     doc = Document(
         doc_id=doc_id,
@@ -225,6 +252,83 @@ def document_to_dict(doc: Document) -> dict:
     }
 
 
+class _Indents(dict):
+    """depth -> (before the first item, between items, before the closing
+    bracket) of a container whose items sit at ``depth``."""
+
+    def __missing__(self, depth: int) -> tuple[str, str, str]:
+        ind = "\n" + "  " * depth
+        self[depth] = value = (ind, "," + ind, ind[:-2])
+        return value
+
+
+_INDENTS = _Indents()
+
+
+def _write_indented(value: Any, depth: int, out: list[str]) -> None:
+    """Append the indented JSON of ``value``, nested ``depth`` deep, to ``out``.
+    Strings and integers, most of a result, are written inline in their
+    container's loop."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        lead, sep, close = _INDENTS[depth + 1]
+        append = out.append
+        append("{")
+        for key, item in value.items():
+            append(lead)
+            append(encode_basestring(key))
+            append(": ")
+            lead = sep
+            if type(item) is str:
+                append(encode_basestring(item))
+            elif type(item) is int:
+                append(int.__repr__(item))
+            else:
+                _write_indented(item, depth + 1, out)
+        append(close)
+        append("}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        lead, sep, close = _INDENTS[depth + 1]
+        append = out.append
+        append("[")
+        for item in value:
+            append(lead)
+            lead = sep
+            if type(item) is str:
+                append(encode_basestring(item))
+            elif type(item) is int:
+                append(int.__repr__(item))
+            else:
+                _write_indented(item, depth + 1, out)
+        append(close)
+        append("]")
+    elif value is None or kind is bool or kind is float:
+        out.append(json.dumps(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def indented_json(value: Any) -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=2)``, byte for byte, for
+    values built of exact dicts with string keys, lists, tuples, strings,
+    ints, floats, bools and None. The stdlib's indented path runs its
+    pure-Python generator chain, which re-yields every token once per level
+    of nesting; this writer appends each token once to one list."""
+    out: list[str] = []
+    _write_indented(value, 0, out)
+    return "".join(out)
+
+
 def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
                 completed: tuple[CompletedEvent, ...] | list = (),
                 chains: list[list[str]] | None = None,
@@ -268,7 +372,7 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
         out["trace"] = trace
     if line:
         return (json.dumps(out, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
-    return (json.dumps(out, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    return (indented_json(out) + "\n").encode("utf-8")
 
 
 def load_result(data: bytes | str, schema: ArgSchema | None = None

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from biocoref import fixtures
+from biocoref import cli, fixtures
 from synth import regulation_chain
 
 CLI = [sys.executable, "-m", "biocoref.cli"]
@@ -352,3 +352,59 @@ def test_stream_is_told_apart_by_content(tmp_path, corpus_dir):
                                   "MalformedInput: Expecting value: line 1 column 2 (char 1)"}]
     assert sorted(p.name for p in out.iterdir()) == ["a_indented.json", "c_one_line.json"]
     assert (out / "c_one_line.json").read_text(encoding="utf-8").startswith('{\n  "doc_id"')
+
+
+def test_stream_counts_documents_and_eval_rejects_it_cleanly(tmp_path):
+    docs = fixtures.corpus_documents()
+    write_stream(tmp_path / "all.ndjson", [docs[name] for name in sorted(docs)])
+    out = tmp_path / "out"
+    proc = run_cli("resolve", "--in", str(tmp_path / "all.ndjson"), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.strip().splitlines()[-1])["docs"] == 22
+    # eval reads one result object per file; a stream is refused, not a crash.
+    proc = run_cli("eval", "--system", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"evaluation error: {out / 'all.json'}: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[1, 2]", b'{"completed_events": []}'])
+def test_eval_unreadable_result_exits_2(tmp_path, content):
+    (tmp_path / "bad.json").write_bytes(content)
+    proc = run_cli("eval", "--system", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"evaluation error: {tmp_path / 'bad.json'}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_exception_is_a_failed_document(tmp_path, corpus_dir, monkeypatch, capsys):
+    shutil.copy(corpus_dir / "ex12_foxp3.json", tmp_path / "a_bug.json")
+    shutil.copy(corpus_dir / "ex13_rb_e2f.json", tmp_path / "b_good.json")
+    resolve = cli.resolve_document
+
+    def buggy(doc, config):
+        if doc.doc_id == "ex12_foxp3":
+            raise TypeError("unexpected value")
+        return resolve(doc, config)
+
+    monkeypatch.setattr(cli, "resolve_document", buggy)
+    out = tmp_path / "out"
+    code = cli.main(["resolve", "--in", str(tmp_path / "*.json"), "--out", str(out),
+                     "--jobs", "1"])
+    assert code == 1
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert summary["failed"] == [{"file": str(tmp_path / "a_bug.json"),
+                                  "error": "TypeError: unexpected value"}]
+    assert summary["docs"] == 1
+    assert [p.name for p in out.iterdir()] == ["b_good.json"]
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupts_are_not_contained(tmp_path, corpus_dir, monkeypatch, exc):
+    def interrupted(doc, config):
+        raise exc()
+
+    monkeypatch.setattr(cli, "resolve_document", interrupted)
+    with pytest.raises(exc):
+        cli.main(["resolve", "--in", str(corpus_dir / "ex12_foxp3.json"),
+                  "--out", str(tmp_path / "out"), "--jobs", "1"])

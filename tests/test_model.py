@@ -113,6 +113,99 @@ def test_optional_string_fields_must_be_strings(path, value):
         load_document(_wire_doc_with(path, value))
 
 
+_DELETE = object()
+_TOK = ("sentences", 0, "tokens", 0)
+_ENT = ("entities", 0)
+_MUT = ("entities", 0, "mutations", 0)
+_EV = ("events", 0)
+_ARG = ("events", 0, "args", 0)
+
+
+# Each malformed record, as edits to _wire_doc, and the exact error it loads
+# with (None: it loads). A record with two faults names the one read first.
+@pytest.mark.parametrize("edits, error", [
+    # tokens
+    ([(_TOK + ("start",), _DELETE)], "shape token: missing field 'start'"),
+    ([(_TOK + ("end",), _DELETE)], "shape token: missing field 'end'"),
+    ([(_TOK + ("start",), "0")], "shape token: field 'start' must be an integer"),
+    ([(_TOK + ("end",), 4.0)], "shape token: field 'end' must be an integer"),
+    ([(_TOK + ("start",), False)], "shape token: field 'start' must be an integer"),
+    ([(_TOK + ("end",), True)], "shape token: field 'end' must be an integer"),
+    ([(_TOK, 5)], "shape token: expected an object, not int"),
+    ([(_TOK + ("pos",), None)], None),
+    ([(_TOK + ("pos",), 5)], "shape token: field 'pos' must be a string"),
+    ([(_TOK + ("start",), "x"), (_TOK + ("end",), _DELETE)],
+     "shape token: field 'start' must be an integer"),
+    # sentences: their tokens are read before their own fields
+    ([(("sentences", 0, "index"), True)], "shape sentence: field 'index' must be an integer"),
+    ([(("sentences", 0, "start"), _DELETE)], "shape sentence: missing field 'start'"),
+    ([(("sentences", 0, "index"), "x"), (_TOK + ("end",), "y")],
+     "shape token: field 'end' must be an integer"),
+    # entities
+    ([(_ENT + ("id",), _DELETE)], "shape entity: missing field 'id'"),
+    ([(_ENT + ("id",), 1)], "shape entity: field 'id' must be a string"),
+    ([(_ENT + ("start",), _DELETE)], "T1: missing field 'start'"),
+    ([(_ENT + ("start",), True)], "T1: field 'start' must be an integer"),
+    ([(_ENT + ("end",), "4")], "T1: field 'end' must be an integer"),
+    ([(_ENT + ("label",), _DELETE)], "T1: missing field 'label'"),
+    ([(_ENT + ("label",), None)], "T1: field 'label' must be a string"),
+    ([(_ENT + ("grounding",), None)], None),
+    ([(_ENT + ("grounding",), 5)], "T1: field 'grounding' must be a string"),
+    ([(_ENT, "T1")], "shape entity: expected an object, not str"),
+    ([(_ENT + ("mutations",), None)], "shape T1: field 'mutations' must be a list"),
+    ([(_ENT + ("id",), _DELETE), (_ENT + ("start",), True)], "shape entity: missing field 'id'"),
+    ([(_ENT + ("label",), 5), (_MUT + ("kind",), _DELETE)], "shape T1: missing field 'kind'"),
+    # mutations
+    ([(_MUT + ("kind",), _DELETE)], "shape T1: missing field 'kind'"),
+    ([(_MUT + ("kind",), 3)], "shape T1: field 'kind' must be a string"),
+    ([(_MUT + ("kind",), None)], "shape T1: field 'kind' must be a string"),
+    ([(_MUT + ("label",), None)], None),
+    ([(_MUT + ("label",), 5)], "shape T1: field 'label' must be a string"),
+    ([(_MUT, 5)], "shape T1: expected an object, not int"),
+    # events
+    ([(_EV + ("id",), _DELETE)], "shape event: missing field 'id'"),
+    ([(_EV + ("id",), 7)], "shape event: field 'id' must be a string"),
+    ([(_EV + ("trigger_start",), _DELETE)], "E1: missing field 'trigger_start'"),
+    ([(_EV + ("trigger_start",), "5")], "E1: field 'trigger_start' must be an integer"),
+    ([(_EV + ("trigger_end",), True)], "E1: field 'trigger_end' must be an integer"),
+    ([(_EV + ("type",), _DELETE)], "E1: missing field 'type'"),
+    ([(_EV + ("type",), 1)], "E1: field 'type' must be a string"),
+    ([(_EV + ("polarity",), None)], "E1: unknown polarity None"),
+    ([(_EV + ("polarity",), 5)], "E1: field 'polarity' must be a string"),
+    ([(_EV, None)], "shape event: expected an object, not NoneType"),
+    ([(_EV + ("args",), None)], "shape E1: field 'args' must be a list"),
+    ([(_EV + ("trigger_start",), "x"), (_ARG, 5)], "shape E1: expected an object, not int"),
+    # event args
+    ([(_ARG + ("role",), _DELETE)], "shape E1: missing field 'role'"),
+    ([(_ARG + ("ref",), _DELETE)], "shape E1: missing field 'ref'"),
+    ([(_ARG + ("ref",), 1)], "shape E1: field 'ref' must be a string"),
+    ([(_ARG + ("role",), False)], "shape E1: field 'role' must be a string"),
+    ([(_ARG + ("ref",), None)], "shape E1: field 'ref' must be a string"),
+    ([(_ARG, [])], "shape E1: expected an object, not list"),
+    # the document itself
+    ([(("doc_id",), _DELETE)], "document: missing field 'doc_id'"),
+    ([(("doc_id",), 5)], "document: field 'doc_id' must be a string"),
+    ([(("text",), _DELETE)], "shape: missing field 'text'"),
+    ([(("text",), None)], "shape: field 'text' must be a string"),
+])
+def test_malformed_record_errors_are_pinned(edits, error):
+    raw = _wire_doc()
+    for path, value in edits:
+        target = raw
+        for step in path[:-1]:
+            target = target[step]
+        if value is _DELETE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    if error is None:
+        load_document(json.dumps(raw))
+        return
+    with pytest.raises(SchemaViolation) as exc:
+        load_document(json.dumps(raw))
+    assert str(exc.value) == error
+
+
 def test_event_reference_cycle_rejected():
     raw = {"doc_id": "d", "text": "go stop",
            "sentences": [{"index": 0, "start": 0, "end": 7, "tokens": []}],

@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 
 from biocoref import resolver
 from biocoref.model import MalformedInput, SchemaViolation
-from biocoref.standoff import load_document, load_result, save_result
+from biocoref.standoff import indented_json, load_document, load_result, save_result
 
 from conftest import load_fixture
 
@@ -144,3 +145,37 @@ def test_unicode_offsets_count_characters(corpus):
     first = next(e for e in doc.entities if e.id == "T1")
     assert doc.text[first.start:first.end] == "GSK3β"
     assert len(first.surface) == 5
+
+
+# Characters that exercise every branch of JSON string escaping: quotes,
+# backslashes, control characters, the line separators JSON leaves alone,
+# non-ASCII letters, an astral character and a lone surrogate.
+_CHARS = 'aZ09 "\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u03b2\u2028\u2029\U0001f9ec\ud800'
+_SCALARS = [None, True, False, 0, -1, 2**70, -(2**64), 0.0, -0.0, 1.5, 1e300, 2.5e-8,
+            float("nan"), float("inf"), float("-inf"), ""]
+
+
+def _random_json(rng, depth):
+    roll = rng.random()
+    if depth >= 5 or roll < 0.45:
+        if rng.random() < 0.5:
+            return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+        return rng.choice(_SCALARS + [rng.randrange(-10**6, 10**6)])
+    items = [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if roll < 0.7:
+        keys = ("".join(rng.choice(_CHARS) for _ in range(rng.randrange(4))) for _ in items)
+        return dict(zip(keys, items))
+    return tuple(items) if roll < 0.8 else items
+
+
+def test_indented_writer_matches_stdlib_on_random_trees():
+    rng = random.Random(6)
+    for _ in range(20_000):
+        value = _random_json(rng, 0)
+        assert indented_json(value) == json.dumps(value, ensure_ascii=False, indent=2), value
+
+
+@pytest.mark.parametrize("value", [{"a": {1, 2}}, [b"bytes"], {"k": [object()]}])
+def test_indented_writer_rejects_values_json_cannot_encode(value):
+    with pytest.raises(TypeError):
+        indented_json(value)

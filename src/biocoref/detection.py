@@ -216,7 +216,7 @@ def detect_candidates(doc: Document, lex: TriggerDictionary, schema: ArgSchema,
     that are regulation arguments. Indefinite NPs never qualify.
     """
     if index is None:
-        index = DocIndex(doc)
+        index = DocIndex(doc, schema)
 
     hosts: dict[str, list[tuple[str, str]]] = {}
     for ev in index.events:
@@ -232,7 +232,7 @@ def detect_candidates(doc: Document, lex: TriggerDictionary, schema: ArgSchema,
 
     regulation_types = schema.regulation_types
     for ev in index.events:
-        if ev.complete or ev.id not in hosts:
+        if ev.id in index.complete or ev.id not in hosts:
             continue
         if not any(index.by_id[h].event_type in regulation_types for h, _ in hosts[ev.id]):
             continue

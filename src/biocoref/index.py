@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .model import Document, EntityMention, EventMention, Token
+from .model import Document, EntityMention, EventMention, Token, event_order
+from .schema import ArgSchema, structurally_complete
 
 
 class DocIndex:
-    """Read-only views over one document: sorted mentions, sentence lookup."""
+    """Read-only views over one document: sorted mentions, sentence lookup,
+    and the ids of its complete events."""
 
-    def __init__(self, doc: Document) -> None:
+    def __init__(self, doc: Document, schema: ArgSchema) -> None:
         self.doc = doc
         self.entities = sorted(doc.entities, key=lambda e: (e.start, e.end, e.id))
         self.events = sorted(doc.events, key=lambda ev: (ev.trigger_start, ev.trigger_end, ev.id))
@@ -26,6 +28,15 @@ class DocIndex:
         self.events_by_sentence: dict[int, list[EventMention]] = {}
         for ev in self.events:
             self.events_by_sentence.setdefault(self.sentence_index_at(ev.trigger_start), []).append(ev)
+        # An event is complete when its own arity is met and every event it
+        # references is complete; children first, so each verdict is known
+        # before the events built from it are reached.
+        incomplete: set[str] = set()
+        for ev_id in event_order(doc):
+            ev = self.by_id[ev_id]
+            if not structurally_complete(ev, schema) or any(a.ref in incomplete for a in ev.args):
+                incomplete.add(ev_id)
+        self.complete = frozenset(ev.id for ev in doc.events if ev.id not in incomplete)
 
     def sentence_index_at(self, pos: int) -> int:
         """Index of the sentence containing character position ``pos``, or -1."""

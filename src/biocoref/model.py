@@ -100,7 +100,6 @@ class EventMention:
     event_type: str
     args: tuple[EventArg, ...] = ()
     polarity: str = "Unspecified"
-    complete: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,12 +138,11 @@ class Document:
     events: tuple[EventMention, ...] = ()
 
 
-def validate_document(doc: Document, entity_classes: frozenset[str] = ENTITY_CLASSES,
-                      event_types: frozenset[str] | None = None) -> None:
+def validate_document(doc: Document, event_types: frozenset[str]) -> None:
     """Check every document invariant, raising SchemaViolation on the first failure.
 
-    ``event_types`` defaults to accepting any type; the standoff loader passes
-    the configured inventory so unknown types are rejected at the boundary.
+    ``event_types`` is the configured inventory, so unknown types are rejected
+    at the boundary.
     """
     text_len = len(doc.text)
     prev_end = 0
@@ -172,7 +170,7 @@ def validate_document(doc: Document, entity_classes: frozenset[str] = ENTITY_CLA
         seen.add(ent.id)
         if not (0 <= ent.start < ent.end <= text_len):
             raise SchemaViolation(f"{ent.id}: span [{ent.start},{ent.end}) out of bounds")
-        if ent.label not in entity_classes:
+        if ent.label not in ENTITY_CLASSES:
             raise SchemaViolation(f"{ent.id}: unknown entity class {ent.label!r}")
         if ent.surface != doc.text[ent.start:ent.end]:
             raise SchemaViolation(f"{ent.id}: surface does not match covered text")
@@ -194,7 +192,7 @@ def validate_document(doc: Document, entity_classes: frozenset[str] = ENTITY_CLA
             raise SchemaViolation(f"{ev.id}: trigger span out of bounds")
         if not _covered_by_sentence(doc, starts, ev.trigger_start, ev.trigger_end):
             raise SchemaViolation(f"{ev.id}: trigger not covered by any sentence")
-        if event_types is not None and ev.event_type not in event_types:
+        if ev.event_type not in event_types:
             raise SchemaViolation(f"{ev.id}: unknown event type {ev.event_type!r}")
         if ev.polarity not in POLARITIES:
             raise SchemaViolation(f"{ev.id}: unknown polarity {ev.polarity!r}")

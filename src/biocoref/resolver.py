@@ -84,7 +84,7 @@ def resolve_document(doc: Document, config: ResolverConfig,
     with the sieve name and the live state; property tests use it to check
     the chain partition and precedence after each pass.
     """
-    index = DocIndex(doc)
+    index = DocIndex(doc, config.schema)
     candidates = detect_candidates(doc, config.lexicon, config.schema, index=index)
     trace: dict[str, dict] | None = None
     if config.trace:

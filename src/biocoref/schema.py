@@ -10,11 +10,11 @@ which caps anaphoric event search at one level of nesting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from importlib.resources import files
 
-from .model import Document, EventMention, MalformedInput, SchemaViolation, event_order
+from .model import EventMention, MalformedInput, SchemaViolation
 
 EVENT_PSEUDO_CLASS = "Event"
 
@@ -103,19 +103,3 @@ def structurally_complete(event: EventMention, schema: ArgSchema) -> bool:
         filled[arg.role] = filled.get(arg.role, 0) + 1
     return all(filled.get(role, 0) >= spec.count
                for role, spec in schema.roles_for(event.event_type).items())
-
-
-def with_completeness(doc: Document, schema: ArgSchema) -> Document:
-    """Return a copy of ``doc`` whose events carry recomputed complete flags.
-
-    An event is complete only if its own arity is satisfied and every event
-    it references is itself complete.
-    """
-    by_id = {ev.id: ev for ev in doc.events}
-    complete: dict[str, bool] = {}
-    for ev_id in event_order(doc):
-        ev = by_id[ev_id]
-        complete[ev_id] = structurally_complete(ev, schema) and all(
-            complete.get(arg.ref, True) for arg in ev.args)
-    events = tuple(replace(ev, complete=complete[ev.id]) for ev in doc.events)
-    return Document(doc.doc_id, doc.text, doc.sentences, doc.entities, events)

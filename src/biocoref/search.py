@@ -188,7 +188,7 @@ def event_antecedent_search(index: DocIndex, anaphor: AnaphorCandidate,
         pool = [ev for ev in index.events_by_sentence.get(window, [])
                 if ev.trigger_end <= anaphor.start]
         for ev in sorted(pool, key=lambda e: (-e.trigger_start, e.id)):
-            verdict = _event_verdict(ev, anaphor, event_type, excluded_ids, uf)
+            verdict = _event_verdict(ev, anaphor, event_type, excluded_ids, uf, index.complete)
             if trace is not None:
                 trace.append({"id": ev.id, "verdict": verdict})
             if verdict == ACCEPTED:
@@ -199,12 +199,12 @@ def event_antecedent_search(index: DocIndex, anaphor: AnaphorCandidate,
 
 
 def _event_verdict(ev: EventMention, anaphor: AnaphorCandidate, event_type: str,
-                   excluded_ids: frozenset[str], uf: UnionFind) -> str:
+                   excluded_ids: frozenset[str], uf: UnionFind, complete: frozenset[str]) -> str:
     if ev.id == anaphor.mention_id:
         return EXCLUDED_SELF
     if ev.id in excluded_ids:
         return EXCLUDED_PARTICIPANT
-    if ev.event_type != event_type or not ev.complete:
+    if ev.event_type != event_type or ev.id not in complete:
         return EXCLUDED_CLASS
     for ex in excluded_ids:
         if uf.same(ev.id, ex):

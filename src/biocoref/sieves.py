@@ -39,7 +39,7 @@ from .detection import AnaphorCandidate, TriggerDictionary
 from .grounding import GroundingTable
 from .index import DocIndex
 from .model import CorefLink, Document, EntityMention, EventMention, event_order
-from .schema import ArgSchema, structurally_complete, with_completeness
+from .schema import ArgSchema, structurally_complete
 from .search import (
     ACCEPTED,
     build_constraints,
@@ -413,7 +413,7 @@ def sieve_cleanup(ctx: ResolveContext, state: CorefState
         entities=tuple(e for e in doc.entities if e.id not in dropped),
         events=tuple(live[ev.id] for ev in doc.events if ev.id in live),
     )
-    return with_completeness(cleaned, ctx.schema), dropped_mentions, dropped_events
+    return cleaned, dropped_mentions, dropped_events
 
 
 RESOLUTION_SIEVES = {

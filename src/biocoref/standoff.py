@@ -35,7 +35,7 @@ from .model import (
     Token,
     validate_document,
 )
-from .schema import ArgSchema, default_schema, with_completeness
+from .schema import ArgSchema, default_schema
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
@@ -77,13 +77,8 @@ def _require_list(obj: dict, key: str, where: str, optional: bool = False) -> li
 _NO_ITEMS: list = []
 
 
-def load_document(data: bytes | str, schema: ArgSchema | None = None) -> Document:
-    """Parse one standoff JSON document and validate every invariant.
-
-    Loading is pure: the same bytes always yield the same Document. Event
-    completeness is computed against ``schema`` (the bundled default when
-    omitted), so unknown event types are rejected here.
-    """
+def _parse_object(data: bytes | str) -> dict:
+    """The JSON object ``data`` holds; MalformedInput when it holds none."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -95,7 +90,17 @@ def load_document(data: bytes | str, schema: ArgSchema | None = None) -> Documen
         raise MalformedInput(str(exc)) from None
     if not isinstance(raw, dict):
         raise MalformedInput("document must be a JSON object")
-    return document_from_dict(raw, schema=schema)
+    return raw
+
+
+def load_document(data: bytes | str, schema: ArgSchema | None = None) -> Document:
+    """Parse one standoff JSON document and validate every invariant.
+
+    Loading is pure: the same bytes always yield the same Document. Event
+    types and argument roles are checked against ``schema`` (the bundled
+    default when omitted), so unknown ones are rejected here.
+    """
+    return document_from_dict(_parse_object(data), schema=schema)
 
 
 def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
@@ -198,7 +203,7 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
             if arg.role not in roles:
                 raise SchemaViolation(f"{ev.id}: role {arg.role!r} not in schema for {ev.event_type}")
 
-    return with_completeness(doc, schema)
+    return doc
 
 
 def _sentence_dict(sent: Sentence) -> dict:
@@ -378,12 +383,7 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
 def load_result(data: bytes | str, schema: ArgSchema | None = None
                 ) -> tuple[Document, tuple[CorefLink, ...], tuple[CompletedEvent, ...]]:
     """Inverse of save_result; ignores provenance extras it does not model."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        raw = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise MalformedInput(str(exc)) from None
+    raw = _parse_object(data)
     doc = document_from_dict(raw, schema=schema)
     links = tuple(
         CorefLink(

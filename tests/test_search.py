@@ -11,13 +11,14 @@ from biocoref.standoff import load_document
 from biocoref.unionfind import UnionFind
 
 from conftest import load_fixture
+from synth import regulation_chain
 
 LEX = default_lexicon()
 SCHEMA = default_schema()
 
 
 def _setup(doc):
-    index = DocIndex(doc)
+    index = DocIndex(doc, SCHEMA)
     cands = detect_candidates(doc, LEX, SCHEMA, index=index)
     return index, {c.mention_id: c for c in cands}
 
@@ -137,3 +138,18 @@ def test_schema_missing_event_type_row():
         schema.roles_for("Phosphorylation")
     with pytest.raises(SchemaMissing):
         schema.role_spec("Binding", "cause")
+
+
+def test_ex18_completeness_follows_nested_events(corpus):
+    # The nominal binding E2 has no arguments, so the regulation E4 built on it
+    # is incomplete too; the binding E1 and the activation E3 are complete.
+    index = DocIndex(load_fixture(corpus, "ex18_ll37_igf1r"), SCHEMA)
+    assert {"E1", "E3"} <= index.complete
+    assert not {"E2", "E4"} & index.complete
+
+
+def test_completeness_of_a_deep_regulation_chain():
+    # 1,500 levels, past the recursion limit: every regulation above the
+    # argument-less nominal B2 is incomplete, so only the binding B1 is complete.
+    doc = load_document(json.dumps(regulation_chain(1500)))
+    assert DocIndex(doc, SCHEMA).complete == {"B1"}

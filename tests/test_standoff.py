@@ -44,10 +44,15 @@ def test_bad_json_is_malformed_input():
 
 
 def test_deep_nesting_is_malformed_input():
+    # Both loaders share one parse step, so they reject the same inputs alike:
+    # nesting too deep, bytes that are not UTF-8, and JSON that is not an object.
     deep = '{"doc_id": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    cases = [(deep, "recursion"), (b'{"doc_id": "\xff"}', "utf-8"),
+             ("[1, 2]", "JSON object"), ('"x"', "JSON object")]
     for load in (load_document, load_result):
-        with pytest.raises(MalformedInput, match="recursion"):
-            load(deep)
+        for data, message in cases:
+            with pytest.raises(MalformedInput, match=message):
+                load(data)
 
 
 def test_wrongly_typed_offsets_are_schema_violations():

@@ -9,23 +9,27 @@ Subcommands:
 Exit codes: 0 success, 1 one or more documents failed, 2 configuration error.
 Per-run summaries go to stderr as JSON so stdout stays scriptable. ``resolve``
 fans documents, including each line of an NDJSON stream, out over its worker
-processes; the main process reads every input and writes every output.
+processes; the main process reads every input and writes every output,
+and holds a bounded window of documents, not whole files.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import glob as globlib
 import json
 import math
 import multiprocessing
+import os
 import sys
+import threading
 from collections import deque
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from . import fixtures as fixtures_mod
 from .detection import default_lexicon, load_lexicon_file
@@ -45,6 +49,18 @@ from .schema import default_schema, load_schema_file
 from .standoff import load_document
 
 _WORKER_CONFIG: dict = {}
+
+# The most documents one task holds. With at most _TASKS_PER_JOB tasks per
+# worker handed out and not yet written, the main process holds a window of
+# documents, whatever the size of its inputs. CHANGES.md records the
+# measurements behind both values.
+_WINDOW = 64
+_TASKS_PER_JOB = 2
+_READ_SIZE = 1 << 16  # bytes per read of an input file
+_LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines ends lines
+# The summary's counts that sum the per-document counters.
+_SUMMED = ("anaphors_detected", "anaphors_resolved", "anaphors_dropped",
+           "events_completed", "events_coref_derived", "events_dropped")
 
 
 def _build_config(args) -> ResolverConfig:
@@ -82,22 +98,84 @@ def _resolve_task(task: list[tuple[bytes | str, bool]], config: ResolverConfig |
     return [_resolve_text(text, line, config) for text, line in task]
 
 
-def _documents(data: bytes) -> tuple[list[bytes | str], bool]:
-    """The documents of one input file, and whether they are the lines of an
-    NDJSON stream: a file is a stream when it does not load as one JSON object
-    and has at least two non-empty lines. Otherwise the file's bytes are its
-    one document; non-ASCII text takes less memory as UTF-8 than as a str."""
+def _lines(file: BinaryIO, size: int) -> Iterator[str]:
+    """The lines of a UTF-8 file, without their ends, exactly as
+    ``str.splitlines`` splits its whole text, read ``size`` bytes at a time."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    head: list[str] = []  # the text after the last line end read
+    read = 0
+    while True:
+        data = file.read(size)
+        read += len(data)
+        try:
+            text = decode(data, final=not data)
+        except UnicodeDecodeError:
+            # The decoder numbers bytes from the start of its last input.
+            # Decoding the file up to here raises the same error numbered
+            # from the start of the file, as reading it whole does.
+            file.seek(0)
+            file.read(read).decode("utf-8")
+            raise
+        if not data:
+            break
+        pieces = text.splitlines(keepends=True)
+        if not pieces:
+            continue
+        if head:
+            head.append(pieces[0])
+            if len(pieces) == 1 and pieces[0][-1] not in _LINE_ENDS:
+                continue
+            pieces[:1] = "".join(head).splitlines(keepends=True)
+            head = []
+        # An unended last line, or one ended by a "\r" that the next read may
+        # show to be the start of "\r\n", waits for more text.
+        if pieces[-1][-1] not in _LINE_ENDS or pieces[-1][-1] == "\r":
+            head = [pieces.pop()]
+        for piece in pieces:
+            yield piece[:-2] if piece[-2:] == "\r\n" else piece[:-1]
+    if head:
+        yield from "".join(head).splitlines()
+
+
+def _documents(file: BinaryIO) -> tuple[bool, Iterable[tuple[int | None, bytes | str]]]:
+    """Whether an input file is an NDJSON stream, and its documents as
+    ``(line, text)``: a stream's non-empty lines, numbered from 1 as
+    ``str.splitlines`` counts lines, or else the file's bytes with line None.
+    A file is a stream when it does not load as one JSON object and has at
+    least two non-empty lines.
+
+    A file longer than one read whose first non-empty line holds a JSON
+    value by itself, with a second non-empty line after it, cannot be one
+    object: it is read lazily as a stream. Any other file is read whole to
+    apply the rule. A single document stays bytes: non-ASCII text takes less
+    memory as UTF-8 than as a str."""
+    data = file.read(_READ_SIZE)
+    if len(data) == _READ_SIZE:
+        file.seek(0)
+        lines = ((n, line) for n, line in enumerate(_lines(file, _READ_SIZE), 1)
+                 if line.strip())
+        first, second = next(lines, None), next(lines, None)
+        if second is not None:
+            try:
+                json.loads(first[1])
+            except (ValueError, RecursionError):
+                pass
+            else:
+                return True, chain((first, second), lines)
+        file.seek(0)
+        data = file.read()
     text = data.decode("utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) < 2:
-        return [data], False
-    try:
-        # Parsing a stream stops after its first line; a document spread over
-        # several lines is parsed in full here and again by its worker.
-        stream = not isinstance(json.loads(text), dict)
-    except (ValueError, RecursionError):
-        stream = True
-    return (lines, True) if stream else ([data], False)
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if len(numbered) >= 2:
+        try:
+            # Parsing a stream stops after its first line; a document spread
+            # over several lines is parsed in full here and again by its worker.
+            stream = not isinstance(json.loads(text), dict)
+        except (ValueError, RecursionError):
+            stream = True
+        if stream:
+            return True, numbered
+    return False, [(None, data)]
 
 
 def _task_size(documents: int, jobs: int) -> int:
@@ -109,51 +187,169 @@ def _task_size(documents: int, jobs: int) -> int:
 
 def _tasks(paths: list[str], jobs: int, inputs: deque) -> Iterator[list[tuple[bytes | str, bool]]]:
     """Read the input files in order and yield their documents, in order, as
-    lists of ``(text, line)``: consecutive single-document files are batched,
-    and each line of a stream is a document of its own, with ``line`` set.
-    Before a file's first document is yielded, ``(path, documents, read
-    error)`` is appended to ``inputs``; a file that cannot be read holds no
-    documents."""
-    batch: list[tuple[bytes | str, bool]] = []
-    batch_size = _task_size(len(paths), jobs)
-    for path in paths:
+    tasks of ``(text, is a stream line)``. A task holds at most _WINDOW
+    stream lines, or the share ``_task_size`` gives of single-document files
+    if that is fewer. What ``_collate`` needs is appended to ``inputs`` in
+    input order before the task that holds it is yielded: ``(input, line,
+    False, None)`` for each document, ``input`` being its file's index in
+    ``paths``, and ``(input, None, True, error)`` after a file's documents,
+    ``error`` being its read error or None. A stream that fails part way has
+    handed out its first documents already."""
+    task: list[tuple[bytes | str, bool]] = []
+    where: list[tuple[int, int | None, bool, str | None]] = []
+    singles = min(_WINDOW, _task_size(len(paths), jobs))
+    for index, path in enumerate(paths):
+        error = None
         try:
-            docs, line = _documents(Path(path).read_bytes())
+            with open(path, "rb") as file:
+                stream, docs = _documents(file)
+                size = _WINDOW if stream else singles
+                for line, doc in docs:
+                    if len(task) >= size:
+                        inputs.extend(where)
+                        yield task
+                        task, where = [], []
+                    task.append((doc, stream))
+                    where.append((index, line, False, None))
         except (OSError, UnicodeDecodeError) as exc:
-            inputs.append((path, 0, f"{type(exc).__name__}: {exc}"))
-            continue
-        inputs.append((path, len(docs), None))
-        if not line:
-            batch.append((docs[0], False))
-            if len(batch) == batch_size:
-                yield batch
-                batch = []
-            continue
-        if batch:
-            yield batch
-            batch = []
-        size = _task_size(len(docs), jobs)
-        for i in range(0, len(docs), size):
-            yield [(doc, True) for doc in docs[i:i + size]]
-    if batch:
-        yield batch
+            error = f"{type(exc).__name__}: {exc}"
+        where.append((index, None, True, error))
+    inputs.extend(where)
+    if task:
+        yield task
 
 
-def _by_file(results: Iterator[tuple], inputs: deque) -> Iterator[tuple[str, list, str | None]]:
-    """Collate per-document results into ``(path, results, error)`` per input
-    file, in input order. ``error`` is the file's read error or else its first
-    failing document's. ``inputs`` is filled by ``_tasks``, which may run in
-    the pool's task thread; it appends each file before handing out the
-    file's documents, so a result's file is always there when it arrives."""
-    pending: list[tuple] = []
-    for result in results:
-        pending.append(result)
-        while inputs and len(pending) >= inputs[0][1]:
-            path, documents, error = inputs.popleft()
-            done, pending = pending[:documents], pending[documents:]
-            yield path, done, error or next((e for _, _, e in done if e is not None), None)
-    for path, _, error in inputs:  # unreadable files after the last document
-        yield path, [], error
+def _collate(results: Iterable[list], inputs: deque) -> Iterator[tuple[tuple, tuple | None]]:
+    """Each entry that ``_tasks`` recorded in ``inputs``, in input order, with
+    its document's result, or with None for the entry that ends a file.
+    ``results`` yields each task's list of results in task order. ``_tasks``
+    may run in the pool's task thread; it records a task's entries before
+    handing the task out, so a result's entry is there when the result
+    arrives, and a file's end is passed on as soon as it is recorded."""
+
+    def ends():
+        while inputs and inputs[0][2]:
+            yield inputs.popleft(), None
+
+    for task in results:
+        for result in task:
+            yield from ends()
+            yield inputs.popleft(), result
+            yield from ends()
+    yield from ends()
+
+
+class _Window:
+    """Bounds the tasks handed to the workers and not yet consumed: ``feed``
+    waits for a free place before it hands out each task, and ``drain``
+    frees one once a task's results are consumed. The pool's exit waits for
+    the thread that runs ``feed``, so every early exit calls ``close`` first,
+    which wakes a waiting ``feed`` and ends it."""
+
+    def __init__(self, size: int) -> None:
+        self._free = threading.Semaphore(size)
+        self._closed = False
+
+    def feed(self, tasks: Iterable[list]) -> Iterator[list]:
+        for task in tasks:
+            self._free.acquire()
+            if self._closed:
+                return
+            yield task
+
+    def drain(self, results: Iterable[list]) -> Iterator[list]:
+        for result in results:
+            yield result
+            self._free.release()
+
+    def close(self) -> None:
+        self._closed = True
+        self._free.release()
+
+
+def _totals() -> dict:
+    return dict.fromkeys(_SUMMED, 0) | {"resolved_by_sieve": {}}
+
+
+def _fold(totals: dict, counters: dict) -> None:
+    for key in _SUMMED:
+        totals[key] += counters[key]
+    by_sieve = totals["resolved_by_sieve"]
+    for sieve, n in counters["resolved_by_sieve"].items():
+        by_sieve[sieve] = by_sieve.get(sieve, 0) + n
+
+
+class _Output:
+    """One input's result file. Its documents' results are written, as they
+    arrive, to ``.<name>.part`` beside it, which is moved onto the file only
+    when the input ends without a failure. ``docs`` and ``totals`` count the
+    input's own documents until then."""
+
+    def __init__(self, path: str, out_dir: str, name: str) -> None:
+        self.path = path
+        self.target = os.path.join(out_dir, name)
+        self.part = os.path.join(out_dir, f".{name}.part")
+        self.file: BinaryIO | None = None
+        self.failure: dict | None = None
+        self.docs = 0
+        self.totals = _totals()
+
+    def add(self, line: int | None, result: tuple) -> None:
+        if self.failure is not None:
+            return
+        out, counters, error = result
+        if error is not None:
+            self.failure = {"file": self.path, "error": error}
+            if line is not None:
+                self.failure["line"] = line
+            self.discard()
+            return
+        if self.file is None:
+            self.file = open(self.part, "wb")
+        self.file.write(out)
+        self.docs += 1
+        _fold(self.totals, counters)
+
+    def finish(self, read_error: str | None) -> None:
+        """Move a complete result file into place; a failed input has none.
+        A read error outranks any failing document of the input."""
+        if read_error is not None:
+            self.failure = {"file": self.path, "error": read_error}
+            self.discard()
+        if self.failure is None:
+            self.file.close()
+            self.file = None
+            os.replace(self.part, self.target)
+
+    def discard(self) -> None:
+        if self.file is not None:
+            self.file.close()
+            self.file = None
+            with suppress(FileNotFoundError):
+                os.unlink(self.part)
+
+
+def _outputs(collated: Iterable[tuple[tuple, tuple | None]], paths: list[str],
+             out_names: dict[str, str], out_dir: str) -> Iterator[_Output]:
+    """Write each input's results as ``_collate`` hands them out, and yield
+    each input's ``_Output`` once its end has been handed out. An output left
+    unfinished when an exception or ``close`` stops the generator is
+    discarded."""
+    output = None
+    try:
+        for (index, line, end, read_error), result in collated:
+            if output is None:
+                path = paths[index]
+                output = _Output(path, out_dir, out_names[path])
+            if not end:
+                output.add(line, result)
+                continue
+            output.finish(read_error)
+            finished, output = output, None
+            yield finished
+    finally:
+        if output is not None:
+            output.discard()
 
 
 def cmd_resolve(args) -> int:
@@ -181,44 +377,35 @@ def cmd_resolve(args) -> int:
         return 2
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    summary: dict = {
-        "docs": 0,
-        "failed": [],
-        "anaphors_detected": 0,
-        "anaphors_resolved": 0,
-        "anaphors_dropped": 0,
-        "resolved_by_sieve": {},
-        "events_completed": 0,
-        "events_coref_derived": 0,
-        "events_dropped": 0,
-    }
-
+    summary: dict = {"docs": 0, "failed": [], **_totals()}
     inputs: deque = deque()
-    tasks = _tasks(paths, args.jobs, inputs)
     with ExitStack() as stack:
+        # Exits run in reverse: the unfinished output is discarded, the
+        # window wakes the task thread, the pool stops, and the input file
+        # that the task generator holds open is closed.
+        tasks = _tasks(paths, args.jobs, inputs)
+        stack.callback(tasks.close)
+        window = _Window(_TASKS_PER_JOB * args.jobs)
         if args.jobs > 1 and paths:
             # Forked workers start without a fresh interpreter and import; the
             # pool forks them before it starts its own threads.
             pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
                 args.jobs, initializer=_worker_init, initargs=(args,)))
-            results = pool.imap(_resolve_task, tasks)
+            results = pool.imap(_resolve_task, window.feed(tasks))
         else:
-            results = map(partial(_resolve_task, config=config), tasks)
-        for path, docs, error in _by_file(chain.from_iterable(results), inputs):
-            if error is not None:
-                summary["failed"].append({"file": path, "error": error})
+            results = map(partial(_resolve_task, config=config), window.feed(tasks))
+        stack.callback(window.close)
+        outputs = _outputs(_collate(window.drain(results), inputs), paths, out_names,
+                           str(out_dir))
+        stack.callback(outputs.close)
+        for output in outputs:
+            if output.failure is not None:
+                summary["failed"].append(output.failure)
                 if args.strict:
                     break
                 continue
-            (out_dir / out_names[path]).write_bytes(b"".join(out for out, _, _ in docs))
-            summary["docs"] += len(docs)
-            for _, counters, _ in docs:
-                for key in ("anaphors_detected", "anaphors_resolved", "anaphors_dropped",
-                            "events_completed", "events_coref_derived", "events_dropped"):
-                    summary[key] += counters[key]
-                for sieve, n in counters["resolved_by_sieve"].items():
-                    summary["resolved_by_sieve"][sieve] = (
-                        summary["resolved_by_sieve"].get(sieve, 0) + n)
+            summary["docs"] += output.docs
+            _fold(summary, output.totals)
 
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     return 1 if summary["failed"] else 0

@@ -73,6 +73,13 @@ def _require_list(obj: dict, key: str, where: str, optional: bool = False) -> li
     return value
 
 
+def _require_strs(obj: dict, key: str, where: str, optional: bool = False) -> list[str]:
+    value = _require_list(obj, key, where, optional)
+    if not all(type(item) is str for item in value):
+        raise SchemaViolation(f"{where}: field {key!r} must be a list of strings")
+    return value
+
+
 # The default of an absent list field on the fast path; never mutated.
 _NO_ITEMS: list = []
 
@@ -334,14 +341,11 @@ def indented_json(value: Any) -> str:
     return "".join(out)
 
 
-def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
-                completed: tuple[CompletedEvent, ...] | list = (),
-                chains: list[list[str]] | None = None,
-                trace: list | None = None, line: bool = False) -> bytes:
-    """Serialize a resolved document; rejects links or events that violate
-    their invariants against ``doc``. Output is deterministic byte-for-byte:
-    an indented result file, or with ``line`` one compact NDJSON line.
-    """
+def _check_result(doc: Document, links: tuple[CorefLink, ...] | list,
+                  completed: tuple[CompletedEvent, ...] | list) -> None:
+    """Reject links or completed events that violate their invariants against
+    ``doc``: every id they name is in it, and every antecedent precedes its
+    anaphor."""
     starts = {ev.id: ev.trigger_start for ev in doc.events}
     starts.update((e.id, e.start) for e in doc.entities)
     completed_ids = {c.id for c in completed}
@@ -365,6 +369,16 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
             if arg.ref not in starts and arg.ref not in completed_ids:
                 raise SchemaViolation(f"completed event {ev.id}: dangling ref {arg.ref}")
 
+
+def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
+                completed: tuple[CompletedEvent, ...] | list = (),
+                chains: list[list[str]] | None = None,
+                trace: list | None = None, line: bool = False) -> bytes:
+    """Serialize a resolved document; rejects links or events that violate
+    their invariants against ``doc``. Output is deterministic byte-for-byte:
+    an indented result file, or with ``line`` one compact NDJSON line.
+    """
+    _check_result(doc, links, completed)
     out = document_to_dict(doc)
     out["links"] = [
         {"anaphor": l.anaphor_id, "antecedents": list(l.antecedent_ids), "sieve": l.sieve_name}
@@ -382,28 +396,32 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
 
 def load_result(data: bytes | str, schema: ArgSchema | None = None
                 ) -> tuple[Document, tuple[CorefLink, ...], tuple[CompletedEvent, ...]]:
-    """Inverse of save_result; ignores provenance extras it does not model."""
+    """Inverse of save_result; ignores provenance extras it does not model.
+    Links and completed events are checked as save_result checks them."""
     raw = _parse_object(data)
     doc = document_from_dict(raw, schema=schema)
+    link_where = f"{doc.doc_id} link"
     links = tuple(
         CorefLink(
-            anaphor_id=l["anaphor"],
-            antecedent_ids=tuple(l["antecedents"]),
-            sieve_name=l["sieve"],
+            anaphor_id=_require_str(l, "anaphor", link_where),
+            antecedent_ids=tuple(_require_strs(l, "antecedents", link_where)),
+            sieve_name=_require_str(l, "sieve", link_where),
         )
-        for l in raw.get("links", ())
+        for l in _require_list(raw, "links", doc.doc_id, optional=True)
     )
-    completed = tuple(
-        CompletedEvent(
-            id=c["id"],
-            trigger_start=c["trigger_start"],
-            trigger_end=c["trigger_end"],
-            event_type=c["type"],
-            args=tuple(EventArg(a["role"], a["ref"]) for a in c.get("args", ())),
-            polarity=c.get("polarity", "Unspecified"),
-            derived_from=c["derived_from"],
-            provenance=tuple(c.get("provenance", ())),
-        )
-        for c in raw.get("completed_events", ())
-    )
-    return doc, links, completed
+    completed = []
+    for c in _require_list(raw, "completed_events", doc.doc_id, optional=True):
+        ev_id = _require_str(c, "id", f"{doc.doc_id} completed event")
+        completed.append(CompletedEvent(
+            id=ev_id,
+            trigger_start=_require_int(c, "trigger_start", ev_id),
+            trigger_end=_require_int(c, "trigger_end", ev_id),
+            event_type=_require_str(c, "type", ev_id),
+            args=tuple(EventArg(_require_str(a, "role", ev_id), _require_str(a, "ref", ev_id))
+                       for a in _require_list(c, "args", ev_id, optional=True)),
+            polarity=_optional_str(c, "polarity", ev_id, "Unspecified"),
+            derived_from=_require_str(c, "derived_from", ev_id),
+            provenance=tuple(_require_strs(c, "provenance", ev_id, optional=True)),
+        ))
+    _check_result(doc, links, completed)
+    return doc, links, tuple(completed)

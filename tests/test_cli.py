@@ -288,7 +288,7 @@ def test_stream_with_failing_lines_writes_nothing(tmp_path, corpus_dir, jobs):
     (batch / "b_stream.ndjson").write_text("\n".join(lines) + "\n", encoding="utf-8")
     shutil.copy(corpus_dir / "ex13_rb_e2f.json", batch / "c_after.json")
     want = [{"file": str(batch / "b_stream.ndjson"),
-             "error": "SchemaViolation: broken: missing field 'text'"}]
+             "error": "SchemaViolation: broken: missing field 'text'", "line": 4}]
     for strict, written in (([], ["a_ok.json", "c_after.json"]), (["--strict"], ["a_ok.json"])):
         out = tmp_path / f"out{len(strict)}"
         proc = run_cli("resolve", "--in", str(batch / "*"), "--out", str(out),
@@ -349,7 +349,8 @@ def test_stream_is_told_apart_by_content(tmp_path, corpus_dir):
     summary = json.loads(proc.stderr.strip().splitlines()[-1])
     # A stream's record is its first line's error, not "document must be a JSON object".
     assert summary["failed"] == [{"file": str(tmp_path / "b_array.json"), "error":
-                                  "MalformedInput: Expecting value: line 1 column 2 (char 1)"}]
+                                  "MalformedInput: Expecting value: line 1 column 2 (char 1)",
+                                  "line": 1}]
     assert sorted(p.name for p in out.iterdir()) == ["a_indented.json", "c_one_line.json"]
     assert (out / "c_one_line.json").read_text(encoding="utf-8").startswith('{\n  "doc_id"')
 

@@ -1,0 +1,209 @@
+"""The resolve runner's reader and its bounded window of documents: line
+splitting, the stream rule, flat memory, early exits and atomic outputs."""
+
+import io
+import json
+import os
+import random
+import signal
+import subprocess
+import sys
+
+import pytest
+
+from biocoref import cli
+
+CLI = [sys.executable, "-m", "biocoref.cli"]
+SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+WORDS = ["a", "{}", "\u03b2", "\U0001f9ec", "  ", '"q"', "e\u0301"]
+
+
+def minimal(doc_id, text=""):
+    return {"doc_id": doc_id, "text": text, "sentences": [], "entities": [], "events": []}
+
+
+def ndjson(docs):
+    return "".join(json.dumps(doc) + "\n" for doc in docs).encode("utf-8")
+
+
+def summary_of(stderr):
+    return json.loads(stderr.strip().splitlines()[-1])
+
+
+def test_lines_match_splitlines_across_read_boundaries():
+    rng = random.Random(8)
+    texts = ["ab\r\ncd", "ab\r", "\r\n\r\n", "x\r\r\ny", "\u03b2\u2028\u03b3", "\U0001f9ec\n", ""]
+    texts += ["".join(rng.choice(WORDS + SEPARATORS) for _ in range(rng.randrange(40)))
+              for _ in range(400)]
+    for text in texts:
+        data = text.encode("utf-8")
+        for size in (1, 2, 3, 5, 64):
+            # Every line, empty ones too, so that line numbers agree as well.
+            assert list(cli._lines(io.BytesIO(data), size)) == text.splitlines(), (text, size)
+
+
+def test_decode_errors_name_the_byte_by_its_place_in_the_file():
+    rng = random.Random(9)
+    for _ in range(200):
+        text = "".join(rng.choice(WORDS + SEPARATORS) for _ in range(rng.randrange(1, 40)))
+        data = bytearray(text.encode("utf-8"))
+        data.insert(rng.randrange(len(data) + 1), rng.choice([0xff, 0x80, 0xe2]))
+        with pytest.raises(UnicodeDecodeError) as whole:
+            bytes(data).decode("utf-8")
+        for size in (1, 3, 7):
+            with pytest.raises(UnicodeDecodeError) as read:
+                list(cli._lines(io.BytesIO(bytes(data)), size))
+            assert str(read.value) == str(whole.value)
+
+
+LINE = json.dumps(minimal("d"))
+STREAM_RULE = [
+    ("stream", f"{LINE}\n{LINE}\n", True),
+    ("stream with blank lines", f"\n{LINE}\n\r\n  \n{LINE}", True),
+    ("indented document", json.dumps(minimal("d"), indent=2) + "\n", False),
+    ("one line then blank lines", f"{LINE}\n\n  \n\t\n", False),
+    ("multi-line array", "[\n1,\n2\n]\n", True),
+    ("garbage first line", f"{{not json\n{LINE}\n", True),
+    ("raw U+2028 in a string",
+     json.dumps(minimal("d", "a\u2028b"), ensure_ascii=False) + "\n", False),
+]
+
+
+@pytest.mark.parametrize("text, stream", [case[1:] for case in STREAM_RULE],
+                         ids=[case[0] for case in STREAM_RULE])
+def test_lazy_stream_rule_agrees_with_the_whole_file_rule(monkeypatch, text, stream):
+    data = text.encode("utf-8")
+    found = {}
+    for size in (4, 1 << 20):  # 4 bytes reads every file lazily first; 1 MiB reads it whole
+        monkeypatch.setattr(cli, "_READ_SIZE", size)
+        is_stream, docs = cli._documents(io.BytesIO(data))
+        found[size] = is_stream, list(docs)
+    assert found[4] == found[1 << 20]
+    want = ([(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+            if stream else [(None, data)])
+    assert found[4] == (stream, want)
+
+
+def test_a_stream_is_read_as_its_documents_are_taken(monkeypatch):
+    monkeypatch.setattr(cli, "_READ_SIZE", 256)
+    data = ndjson(minimal(f"d{i}") for i in range(1000))
+    file = io.BytesIO(data)
+    stream, docs = cli._documents(file)
+    assert stream and next(docs) == (1, json.dumps(minimal("d0")))
+    assert file.tell() <= 512 < len(data)
+
+
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_kib(*args):
+    """Exit code and peak resident KiB of the CLI and its workers. wait4
+    reports a child's peak as at least that of the address space it was
+    started from, so a small launcher starts the CLI, not the test process."""
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, *CLI, *args],
+                          capture_output=True, text=True, timeout=300)
+    code, peak = proc.stdout.split()
+    return int(code), int(peak)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_peak_memory_is_flat_in_stream_length(tmp_path, jobs):
+    peaks = []
+    for count in (2_500, 40_000):
+        stream = tmp_path / f"s{count}.ndjson"
+        stream.write_bytes(ndjson(minimal(f"d{i}") for i in range(count)))
+        code, peak = peak_kib("resolve", "--in", str(stream), "--out", str(tmp_path / "out"),
+                              "--jobs", jobs)
+        assert code == 0
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 4 * 1024, peaks
+
+
+def test_strict_exit_with_a_full_window_does_not_hang(tmp_path):
+    # 301 files make 8 tasks of 38 at --jobs 2, twice the window of 4 tasks,
+    # and the failure is in the first task: the exit must wake the task
+    # thread that waits for the window before the pool can stop.
+    (tmp_path / "a_bad.json").write_text('{"doc_id": "broken"}')
+    for i in range(300):
+        (tmp_path / f"b{i:03}.json").write_text(json.dumps(minimal(f"b{i}")))
+    out = tmp_path / "out"
+    proc = subprocess.Popen(CLI + ["resolve", "--in", str(tmp_path / "*.json"),
+                                   "--out", str(out), "--jobs", "2", "--strict"],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        _, stderr = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("resolve --strict hung after its first failure")
+    assert proc.returncode == 1, stderr
+    summary = summary_of(stderr)
+    assert [f["file"] for f in summary["failed"]] == [str(tmp_path / "a_bad.json")]
+    assert summary["docs"] == 0
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("strict", [[], ["--strict"]])
+def test_failing_stream_leaves_no_part_file(tmp_path, strict):
+    docs = [json.dumps(minimal(f"d{i}")) for i in range(5)]
+    docs[3] = '{"doc_id": "broken"}'
+    (tmp_path / "a_stream.ndjson").write_text(docs[0] + "\n\n" + "\n".join(docs[1:]) + "\n")
+    (tmp_path / "b_ok.json").write_text(json.dumps(minimal("b")))
+    out = tmp_path / "out"
+    proc = subprocess.run(CLI + ["resolve", "--in", str(tmp_path / "*"), "--out", str(out),
+                                 *strict], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert summary_of(proc.stderr)["failed"] == [{
+        "file": str(tmp_path / "a_stream.ndjson"), "line": 5,  # the empty line 2 counts
+        "error": "SchemaViolation: broken: missing field 'text'"}]
+    assert [p.name for p in out.iterdir()] == ([] if strict else ["b_ok.json"])
+
+
+def test_interrupt_leaves_no_part_file(tmp_path, monkeypatch):
+    (tmp_path / "a_ok.json").write_text(json.dumps(minimal("a")))
+    # The first task's results open the stream's part file; the second task's stop the run.
+    (tmp_path / "b_stream.ndjson").write_bytes(
+        ndjson(minimal(f"d{i}") for i in range(2 * cli._WINDOW)))
+    resolve = cli.resolve_document
+
+    def interrupted(doc, config):
+        if doc.doc_id == f"d{cli._WINDOW + 8}":
+            raise KeyboardInterrupt
+        return resolve(doc, config)
+
+    monkeypatch.setattr(cli, "resolve_document", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["resolve", "--in", str(tmp_path / "*"), "--out", str(out), "--jobs", "1"])
+    assert [p.name for p in out.iterdir()] == ["a_ok.json"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_undecodable_line_fails_only_its_stream(tmp_path, jobs):
+    # Lines of 25 KB put the bad byte at the end of line 3 past the first
+    # read, so lines 1 and 2 are handed out before it is found.
+    lines = [json.dumps(minimal(f"d{i}", "x" * 25_000)).encode() for i in range(5)]
+    lines[2] = lines[2].replace(b'x", "sentences"', b'\xff", "sentences"')
+    data = b"\n".join(lines) + b"\n"
+    (tmp_path / "a_ok.json").write_text(json.dumps(minimal("a")))
+    (tmp_path / "b_stream.ndjson").write_bytes(data)
+    (tmp_path / "c_ok.json").write_text(json.dumps(minimal("c")))
+    out = tmp_path / "out"
+    proc = subprocess.run(CLI + ["resolve", "--in", str(tmp_path / "*"), "--out", str(out),
+                                 "--jobs", jobs], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    assert whole.value.start > cli._READ_SIZE > len(b"\n".join(lines[:2]))
+    summary = summary_of(proc.stderr)
+    assert summary["failed"] == [{"file": str(tmp_path / "b_stream.ndjson"),
+                                  "error": f"UnicodeDecodeError: {whole.value}"}]
+    assert summary["docs"] == 2
+    assert sorted(p.name for p in out.iterdir()) == ["a_ok.json", "c_ok.json"]

@@ -145,6 +145,24 @@ def test_save_rejects_cataphoric_link(corpus, config):
         save_result(doc, links=(backwards,))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: r["links"][0].pop("anaphor"), "missing field 'anaphor'"),
+    (lambda r: r.update(links=5), "'links' must be a list"),
+    (lambda r: r["links"][0].update(anaphor="T99"), "link anaphor T99 not in document"),
+    (lambda r: r["links"][0].update(antecedents="T1"), "'antecedents' must be a list"),
+    (lambda r: r["completed_events"][0].pop("derived_from"), "missing field 'derived_from'"),
+    (lambda r: r["completed_events"][0]["args"][0].update(ref="T99"), "dangling ref T99"),
+], ids=["link-without-anaphor", "links-not-a-list", "unknown-anaphor", "antecedents-not-a-list",
+        "event-without-source", "dangling-event-ref"])
+def test_load_result_checks_what_save_result_checks(corpus, config, edit, message):
+    doc = load_fixture(corpus, "ex12_foxp3")
+    raw = json.loads(resolver.resolve_document(doc, config).to_bytes())
+    assert raw["links"] and raw["completed_events"]
+    edit(raw)
+    with pytest.raises(SchemaViolation, match=message):
+        load_result(json.dumps(raw))
+
+
 def test_unicode_offsets_count_characters(corpus):
     doc = load_fixture(corpus, "ex10_gsk3b")
     first = next(e for e in doc.entities if e.id == "T1")

@@ -31,18 +31,7 @@ from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from . import fixtures as fixtures_mod
 from .detection import default_lexicon, load_lexicon_file
-from .evaluation import (
-    EvaluationError,
-    error_breakdown,
-    format_report,
-    generous_precision,
-    json_report,
-    load_adjudications,
-    load_run,
-    throughput,
-)
 from .grounding import default_table, load_table_file
 from .resolver import ResolverConfig, resolve_document, validate_disabled
 from .schema import default_schema, load_schema_file
@@ -363,7 +352,8 @@ def cmd_resolve(args) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    paths = sorted(globlib.glob(args.inputs, recursive=True))
+    # A pattern with two ``**`` lists one file once per way it matches.
+    paths = sorted(set(globlib.glob(args.inputs, recursive=True)))
     out_dir = Path(args.out)
     out_names = {path: Path(path).stem + ".json" for path in paths}
     by_name: dict[str, list[str]] = {}
@@ -412,6 +402,10 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import (EvaluationError, error_breakdown, format_report,
+                             generous_precision, json_report, load_adjudications,
+                             load_run, throughput)
+
     try:
         system = load_run(args.system)
         baseline = load_run(args.baseline) if args.baseline else None
@@ -476,6 +470,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from . import fixtures as fixtures_mod
+
     out_dir = Path(args.out)
     if args.check:
         problems = fixtures_mod.validate_corpus(out_dir)

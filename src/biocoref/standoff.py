@@ -12,14 +12,17 @@ Input schema (one document per file, or one per line in an NDJSON stream):
                      "args": [{"role": str, "ref": str}]} ] }
 
 Result files add "links" and "completed_events". Serialization is canonical:
-the same inputs always produce byte-identical output.
+each result is the bytes ``json.dumps(ensure_ascii=False)`` gives for it as an
+indented file (``indent=2``) or a compact stream line. ``save_result`` formats
+the model straight into one table of ``%``-templates per layout.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from json.encoder import encode_basestring
-from typing import Any
+from typing import Any, Callable
 
 from .model import (
     CompletedEvent,
@@ -213,57 +216,6 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
     return doc
 
 
-def _sentence_dict(sent: Sentence) -> dict:
-    tokens = []
-    for tok in sent.tokens:
-        td: dict[str, Any] = {"start": tok.start, "end": tok.end}
-        if tok.pos_hint is not None:
-            td["pos"] = tok.pos_hint
-        tokens.append(td)
-    return {"index": sent.index, "start": sent.start, "end": sent.end, "tokens": tokens}
-
-
-def _entity_dict(ent: EntityMention) -> dict:
-    d: dict[str, Any] = {"id": ent.id, "start": ent.start, "end": ent.end, "label": ent.label}
-    if ent.grounding_id is not None:
-        d["grounding"] = ent.grounding_id
-    if ent.mutations:
-        muts = []
-        for m in ent.mutations:
-            md: dict[str, Any] = {"kind": m.kind}
-            if m.label is not None:
-                md["label"] = m.label
-            muts.append(md)
-        d["mutations"] = muts
-    return d
-
-
-def _event_dict(ev: EventMention | CompletedEvent) -> dict:
-    d: dict[str, Any] = {
-        "id": ev.id,
-        "trigger_start": ev.trigger_start,
-        "trigger_end": ev.trigger_end,
-        "type": ev.event_type,
-    }
-    if ev.polarity != "Unspecified":
-        d["polarity"] = ev.polarity
-    d["args"] = [{"role": a.role, "ref": a.ref} for a in ev.args]
-    if isinstance(ev, CompletedEvent):
-        d["derived_from"] = ev.derived_from
-        d["provenance"] = list(ev.provenance)
-    return d
-
-
-def document_to_dict(doc: Document) -> dict:
-    return {
-        "doc_id": doc.doc_id,
-        "text": doc.text,
-        "sentences": [_sentence_dict(s) for s in doc.sentences],
-        "entities": [_entity_dict(e) for e in doc.entities],
-        "events": [_event_dict(ev) for ev in doc.events],
-    }
-
-
 class _Indents(dict):
     """depth -> (before the first item, between items, before the closing
     bracket) of a container whose items sit at ``depth``."""
@@ -330,14 +282,15 @@ def _write_indented(value: Any, depth: int, out: list[str]) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def indented_json(value: Any) -> str:
+def indented_json(value: Any, depth: int = 0) -> str:
     """``json.dumps(value, ensure_ascii=False, indent=2)``, byte for byte, for
     values built of exact dicts with string keys, lists, tuples, strings,
-    ints, floats, bools and None. The stdlib's indented path runs its
-    pure-Python generator chain, which re-yields every token once per level
-    of nesting; this writer appends each token once to one list."""
+    ints, floats, bools and None; ``depth`` indents it as a value nested that
+    deep. The stdlib's indented path runs its pure-Python generator chain,
+    which re-yields every token once per level of nesting; this writer
+    appends each token once to one list."""
     out: list[str] = []
-    _write_indented(value, 0, out)
+    _write_indented(value, depth, out)
     return "".join(out)
 
 
@@ -370,6 +323,59 @@ def _check_result(doc: Document, links: tuple[CorefLink, ...] | list,
                 raise SchemaViolation(f"completed event {ev.id}: dangling ref {arg.ref}")
 
 
+class _Layout:
+    """The ``%``-templates of one result layout, one per record shape at the
+    depth it sits at in a result: with ``indent`` as ``json.dumps(indent=2)``
+    lays it out, else as ``json.dumps(separators=(",", ":"))``. A ``%s`` slot
+    after a field takes that record's optional tail, or ``""``; ``generic``
+    encodes the free-form ``chains`` and ``trace``."""
+
+    def __init__(self, indent: bool, generic: Callable[[Any], str]) -> None:
+        colon = ": " if indent else ":"
+
+        def pad(depth: int) -> tuple[str, str, str]:
+            return _INDENTS[depth] if indent else ("", ",", "")
+
+        def tail(depth: int, *keys: str | None) -> str:
+            sep = pad(depth)[1]
+            return "".join("%s" if k is None else f'{sep}"{k}"{colon}%s' for k in keys)
+
+        def record(depth: int, *keys: str | None) -> str:
+            lead, sep, close = pad(depth)
+            return "{" + lead + tail(depth, *keys)[len(sep):] + close + "}"
+
+        self.generic, self.outer, self.inner = generic, pad(2), pad(4)
+        self.token, self.token_pos = record(5, "start", "end"), record(5, "start", "end", "pos")
+        self.sentence = record(3, "index", "start", "end", "tokens")
+        self.entity = record(3, "id", "start", "end", "label", None, None)
+        self.grounding, self.mutations = tail(3, "grounding"), tail(3, "mutations")
+        self.mutation, self.mutation_label = record(5, "kind"), record(5, "kind", "label")
+        self.event = record(3, "id", "trigger_start", "trigger_end", "type", None, "args", None)
+        self.polarity, self.arg = tail(3, "polarity"), record(5, "role", "ref")
+        self.completed = tail(3, "derived_from", "provenance")
+        self.link = record(3, "anaphor", "antecedents", "sieve")
+        self.top = record(1, "doc_id", "text", "sentences", "entities", "events", "links",
+                          "completed_events", None)
+        self.chains, self.trace = tail(1, "chains"), tail(1, "trace")
+
+
+_FILE = _Layout(True, partial(indented_json, depth=1))
+_LINE = _Layout(False, partial(json.dumps, ensure_ascii=False, separators=(",", ":")))
+
+
+def _join(pad: tuple[str, str, str], items: list[str]) -> str:
+    """A list of already encoded items, laid out by its items' ``pad``."""
+    return "[" + pad[0] + pad[1].join(items) + pad[2] + "]" if items else "[]"
+
+
+def _event(t: _Layout, ev: EventMention | CompletedEvent, tail: str = "") -> str:
+    enc = encode_basestring
+    return t.event % (
+        enc(ev.id), ev.trigger_start, ev.trigger_end, enc(ev.event_type),
+        "" if ev.polarity == "Unspecified" else t.polarity % enc(ev.polarity),
+        _join(t.inner, [t.arg % (enc(a.role), enc(a.ref)) for a in ev.args]), tail)
+
+
 def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
                 completed: tuple[CompletedEvent, ...] | list = (),
                 chains: list[list[str]] | None = None,
@@ -379,19 +385,32 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
     an indented result file, or with ``line`` one compact NDJSON line.
     """
     _check_result(doc, links, completed)
-    out = document_to_dict(doc)
-    out["links"] = [
-        {"anaphor": l.anaphor_id, "antecedents": list(l.antecedent_ids), "sieve": l.sieve_name}
-        for l in links
-    ]
-    out["completed_events"] = [_event_dict(c) for c in completed]
-    if chains is not None:
-        out["chains"] = chains
+    t = _LINE if line else _FILE
+    enc, inner = encode_basestring, t.inner
+    token, token_pos, sentence = t.token, t.token_pos, t.sentence
+    sentences = [sentence % (s.index, s.start, s.end, _join(inner, [
+        token % (k.start, k.end) if k.pos_hint is None
+        else token_pos % (k.start, k.end, enc(k.pos_hint)) for k in s.tokens]))
+        for s in doc.sentences]
+    entities = [t.entity % (
+        enc(e.id), e.start, e.end, enc(e.label),
+        "" if e.grounding_id is None else t.grounding % enc(e.grounding_id),
+        t.mutations % _join(inner, [
+            t.mutation % enc(m.kind) if m.label is None
+            else t.mutation_label % (enc(m.kind), enc(m.label)) for m in e.mutations])
+        if e.mutations else "")
+        for e in doc.entities]
+    links_out = [t.link % (enc(l.anaphor_id), _join(inner, [enc(a) for a in l.antecedent_ids]),
+                           enc(l.sieve_name)) for l in links]
+    completed_out = [_event(t, c, t.completed % (
+        enc(c.derived_from), _join(inner, [enc(p) for p in c.provenance]))) for c in completed]
+    extras = "" if chains is None else t.chains % t.generic(chains)
     if trace is not None:
-        out["trace"] = trace
-    if line:
-        return (json.dumps(out, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
-    return (indented_json(out) + "\n").encode("utf-8")
+        extras += t.trace % t.generic(trace)
+    text = t.top % (enc(doc.doc_id), enc(doc.text), _join(t.outer, sentences),
+                    _join(t.outer, entities), _join(t.outer, [_event(t, ev) for ev in doc.events]),
+                    _join(t.outer, links_out), _join(t.outer, completed_out), extras)
+    return (text + "\n").encode("utf-8")
 
 
 def load_result(data: bytes | str, schema: ArgSchema | None = None

@@ -50,6 +50,27 @@ def test_resolve_empty_glob_is_success(tmp_path):
     assert summary["docs"] == 0 and summary["failed"] == []
 
 
+def test_glob_matching_one_file_many_ways_resolves_it_once(tmp_path, corpus_dir):
+    nested = tmp_path / "g" / "a" / "b"
+    nested.mkdir(parents=True)
+    shutil.copy(corpus_dir / "ex12_foxp3.json", nested / "x.json")
+    out = tmp_path / "out"
+    proc = run_cli("resolve", "--in", str(tmp_path / "g" / "**" / "**" / "x.json"),
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.strip().splitlines()[-1])["docs"] == 1
+    assert [p.name for p in out.iterdir()] == ["x.json"]
+
+
+def test_cli_import_leaves_fixtures_and_evaluation_unloaded():
+    # resolve never uses them; cmd_fixtures and cmd_eval import them.
+    code = ("import sys, biocoref.cli; "
+            "print(sorted({'biocoref.fixtures', 'biocoref.evaluation'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_resolve_bad_config_exits_2(tmp_path, corpus_dir):
     proc = run_cli("resolve", "--in", str(corpus_dir / "ex*.json"),
                    "--out", str(tmp_path / "out"),

@@ -4,10 +4,23 @@ import random
 import pytest
 
 from biocoref import resolver
-from biocoref.model import MalformedInput, SchemaViolation
+from biocoref.model import (
+    CompletedEvent,
+    CorefLink,
+    Document,
+    EntityMention,
+    EventArg,
+    EventMention,
+    MalformedInput,
+    MutationRecord,
+    SchemaViolation,
+    Sentence,
+    Token,
+)
 from biocoref.standoff import indented_json, load_document, load_result, save_result
 
 from conftest import load_fixture
+from synth import synth_corpus
 
 
 def test_ex10_loads_expected_mentions(corpus):
@@ -202,3 +215,153 @@ def test_indented_writer_matches_stdlib_on_random_trees():
 def test_indented_writer_rejects_values_json_cannot_encode(value):
     with pytest.raises(TypeError):
         indented_json(value)
+
+
+# --- reference writer ------------------------------------------------------
+# The result as the dict layer save_result once built before it wrote its
+# templates, dumped by the stdlib encoder in either layout.
+
+def _ref_sentence(sent):
+    tokens = []
+    for tok in sent.tokens:
+        td = {"start": tok.start, "end": tok.end}
+        if tok.pos_hint is not None:
+            td["pos"] = tok.pos_hint
+        tokens.append(td)
+    return {"index": sent.index, "start": sent.start, "end": sent.end, "tokens": tokens}
+
+
+def _ref_entity(ent):
+    d = {"id": ent.id, "start": ent.start, "end": ent.end, "label": ent.label}
+    if ent.grounding_id is not None:
+        d["grounding"] = ent.grounding_id
+    if ent.mutations:
+        muts = []
+        for m in ent.mutations:
+            md = {"kind": m.kind}
+            if m.label is not None:
+                md["label"] = m.label
+            muts.append(md)
+        d["mutations"] = muts
+    return d
+
+
+def _ref_event(ev):
+    d = {"id": ev.id, "trigger_start": ev.trigger_start, "trigger_end": ev.trigger_end,
+         "type": ev.event_type}
+    if ev.polarity != "Unspecified":
+        d["polarity"] = ev.polarity
+    d["args"] = [{"role": a.role, "ref": a.ref} for a in ev.args]
+    if isinstance(ev, CompletedEvent):
+        d["derived_from"] = ev.derived_from
+        d["provenance"] = list(ev.provenance)
+    return d
+
+
+def _reference_bytes(doc, links, completed, chains, trace, line):
+    out = {
+        "doc_id": doc.doc_id,
+        "text": doc.text,
+        "sentences": [_ref_sentence(s) for s in doc.sentences],
+        "entities": [_ref_entity(e) for e in doc.entities],
+        "events": [_ref_event(ev) for ev in doc.events],
+        "links": [{"anaphor": l.anaphor_id, "antecedents": list(l.antecedent_ids),
+                   "sieve": l.sieve_name} for l in links],
+        "completed_events": [_ref_event(c) for c in completed],
+    }
+    if chains is not None:
+        out["chains"] = chains
+    if trace is not None:
+        out["trace"] = trace
+    if line:
+        return (json.dumps(out, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+    return (json.dumps(out, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+
+_TEXT = _CHARS.replace("\ud800", "")  # UTF-8 cannot encode a lone surrogate
+_INTS = [0, 1, 7, -3, 2**70, -(2**64)]
+
+
+def _text(rng, most=6):
+    return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(most)))
+
+
+def _maybe(rng, value):
+    return value if rng.random() < 0.5 else None
+
+
+def _random_result(rng):
+    """A document with links and completed events that pass the result
+    checks, every optional field present or absent at random, and every
+    string drawn from the escaping alphabet."""
+    def ints():
+        return rng.choice(_INTS + [rng.randrange(10**6)])
+
+    def polarity():
+        return rng.choice(["Unspecified", "Positive", "Negative", _text(rng)])
+
+    def args(refs):
+        return tuple(EventArg(_text(rng), rng.choice(refs))
+                     for _ in range(rng.randrange(3) if refs else 0))
+
+    sentences = tuple(
+        Sentence(ints(), ints(), ints(), tuple(
+            Token(ints(), ints(), "", _maybe(rng, _text(rng))) for _ in range(rng.randrange(4))))
+        for _ in range(rng.randrange(4)))
+    n_ent, n_ev = rng.randrange(6), rng.randrange(4)
+    starts = rng.sample(range(-50, 1000), n_ent + n_ev)
+    entities = tuple(
+        EntityMention(f"T{i}:{_text(rng, 3)}", starts[i], ints(), _text(rng), "",
+                      _maybe(rng, _text(rng)),
+                      tuple(MutationRecord(_text(rng), _maybe(rng, _text(rng)))
+                            for _ in range(rng.choice([0, 0, 1, 3]))))
+        for i in range(n_ent))
+    ids = [e.id for e in entities]
+    events = tuple(
+        EventMention(f"E{i}:{_text(rng, 3)}", starts[n_ent + i], ints(), _text(rng), args(ids),
+                     polarity())
+        for i in range(n_ev))
+    start_of = {e.id: e.start for e in entities} | {ev.id: ev.trigger_start for ev in events}
+    links = []
+    for anaphor, at in start_of.items():
+        earlier = [m for m, s in start_of.items() if s < at]
+        if earlier and rng.random() < 0.6:
+            links.append(CorefLink(anaphor, tuple(rng.sample(earlier, rng.randint(1, len(earlier)))),
+                                   _text(rng)))
+    completed = []
+    for i in range(rng.randrange(4) if start_of else 0):
+        refs = list(start_of) + [c.id for c in completed]
+        completed.append(CompletedEvent(
+            f"C{i}:{_text(rng, 3)}", ints(), ints(), _text(rng), args(refs), polarity(),
+            rng.choice(list(start_of)), tuple(_text(rng) for _ in range(rng.choice([0, 1, 2])))))
+    doc = Document(_text(rng, 8), _text(rng, 20), sentences, entities, events)
+    chains = [rng.sample(list(start_of), min(2, len(start_of))) for _ in range(rng.randrange(3))]
+    trace = [{"anaphor": _text(rng), "span": [ints(), ints()], "final": {"status": _text(rng)},
+              "attempts": [{"sieve": _text(rng), "considered": [], "ok": rng.random() < 0.5,
+                            "antecedents": None}]}
+             for _ in range(rng.randrange(3))]
+    return doc, links, completed, chains, trace
+
+
+@pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
+@pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
+def test_writer_matches_reference_on_random_results(provenance, line):
+    rng = random.Random(17 + 2 * provenance + line)
+    for _ in range(1500):
+        doc, links, completed, chains, trace = _random_result(rng)
+        if not provenance:
+            chains = trace = None
+        expected = _reference_bytes(doc, links, completed, chains, trace, line)
+        assert save_result(doc, links, completed, chains, trace, line=line) == expected
+
+
+@pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
+@pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
+def test_writer_matches_reference_on_corpora(corpus, provenance, line):
+    config = resolver.ResolverConfig.default(trace=provenance)
+    for raw in list(corpus.values()) + synth_corpus(29, 150):
+        res = resolver.resolve_document(load_document(json.dumps(raw)), config)
+        expected = _reference_bytes(res.doc, res.links, res.completed,
+                                    res.chains if provenance else None,
+                                    res.trace if provenance else None, line)
+        assert res.to_bytes(emit_provenance=provenance, line=line) == expected, raw["doc_id"]

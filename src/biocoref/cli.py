@@ -20,7 +20,6 @@ import codecs
 import glob as globlib
 import json
 import math
-import multiprocessing
 import os
 import sys
 import threading
@@ -377,8 +376,10 @@ def cmd_resolve(args) -> int:
         stack.callback(tasks.close)
         window = _Window(_TASKS_PER_JOB * args.jobs)
         if args.jobs > 1 and paths:
+            # Imported here, so a run that starts no pool does not pay for it.
             # Forked workers start without a fresh interpreter and import; the
             # pool forks them before it starts its own threads.
+            import multiprocessing
             pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
                 args.jobs, initializer=_worker_init, initargs=(args,)))
             results = pool.imap(_resolve_task, window.feed(tasks))

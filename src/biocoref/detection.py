@@ -13,10 +13,10 @@ keep them from resolving and cleanup removes them afterwards.
 from __future__ import annotations
 
 import json
+import os
 import re
-from dataclasses import dataclass
 from functools import cache
-from importlib.resources import files
+from typing import NamedTuple
 
 from .index import DocIndex
 from .model import (
@@ -50,8 +50,7 @@ NUMBER_WORDS = {
 _UPPER_OR_DIGIT = re.compile(r"[A-Z0-9]")
 
 
-@dataclass(frozen=True, slots=True)
-class Cardinality:
+class Cardinality(NamedTuple):
     """How many antecedents an anaphor demands: One, AtLeastTwo, or Exactly(n)."""
 
     kind: str
@@ -70,8 +69,7 @@ class Cardinality:
         return cls("Exactly", n)
 
 
-@dataclass(frozen=True, slots=True)
-class AnaphorCandidate:
+class AnaphorCandidate(NamedTuple):
     mention_id: str
     kind: str
     start: int
@@ -84,8 +82,7 @@ class AnaphorCandidate:
     hosts: tuple[tuple[str, str], ...] = ()  # (event id, role) pairs this anaphor fills
 
 
-@dataclass(frozen=True, slots=True)
-class TriggerDictionary:
+class TriggerDictionary(NamedTuple):
     """Closed-word lexicons driving detection.
 
     ``event_triggers`` maps nominal trigger nouns to event types,
@@ -143,7 +140,7 @@ def load_lexicon_file(path) -> TriggerDictionary:
 
 @cache
 def default_lexicon() -> TriggerDictionary:
-    return load_lexicon(files("biocoref").joinpath("data/lexicon.json").read_bytes())
+    return load_lexicon_file(os.path.join(os.path.dirname(__file__), "data", "lexicon.json"))
 
 
 def _is_plural_noun(word: str) -> bool:

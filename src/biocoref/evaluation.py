@@ -26,9 +26,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 REFERENCE_THROUGHPUT = {"baseline": 46234, "coref_only": 1492, "combined": 47726}
 REFERENCE_GENEROUS_PRECISION = {"combined": 0.742, "coref_only": 0.680}
@@ -61,8 +61,7 @@ class CorpusMismatch(EvaluationError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class AdjudicationRecord:
+class AdjudicationRecord(NamedTuple):
     event_id: str
     judgment: Fraction
     error_class: str | None = None
@@ -126,8 +125,7 @@ def error_breakdown(records: list[AdjudicationRecord]) -> dict[str, Fraction]:
     return {cls: Fraction(n, len(errors)) for cls, n in counts.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class RunOutput:
+class RunOutput(NamedTuple):
     doc_id: str
     completed: list[dict]
 

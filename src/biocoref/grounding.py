@@ -10,11 +10,10 @@ no token dropping.
 
 from __future__ import annotations
 
+import os
 import re
 import unicodedata
-from dataclasses import dataclass, field
 from functools import cache
-from importlib.resources import files
 
 DEFAULT_NAMESPACE_PRIORITY = (
     "uniprot",
@@ -38,10 +37,12 @@ def normalize(surface: str) -> str:
     return _SEPARATOR_RUN.sub(" ", folded).strip()
 
 
-@dataclass(frozen=True, slots=True)
 class GroundingTable:
-    entries: dict[str, str] = field(default_factory=dict)
-    dropped_duplicates: int = 0
+    __slots__ = ("entries", "dropped_duplicates")
+
+    def __init__(self, entries: dict[str, str] | None = None, dropped_duplicates: int = 0) -> None:
+        self.entries = {} if entries is None else entries
+        self.dropped_duplicates = dropped_duplicates
 
     def ground(self, surface: str) -> str | None:
         return self.entries.get(normalize(surface))
@@ -96,5 +97,5 @@ def load_table_file(path) -> GroundingTable:
 
 @cache
 def default_table() -> GroundingTable:
-    return load_table(files("biocoref").joinpath("data/grounding.tsv").read_bytes())
+    return load_table_file(os.path.join(os.path.dirname(__file__), "data", "grounding.tsv"))
 

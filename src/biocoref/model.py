@@ -3,13 +3,17 @@
 All offsets are character offsets into the Unicode document text, never byte
 offsets; multi-byte characters such as Greek letters count as one position.
 Documents are immutable after construction and safe to share across threads.
+
+Every record here is a ``typing.NamedTuple``: assigning a field raises
+AttributeError, and ``_replace`` returns a changed copy. Being tuples, records
+also index, iterate and compare equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 ENTITY_CLASSES = frozenset({
     "Protein",
@@ -48,24 +52,21 @@ class SchemaViolation(ValueError):
     """
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     start: int
     end: int
     surface: str
     pos_hint: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Sentence:
+class Sentence(NamedTuple):
     index: int
     start: int
     end: int
     tokens: tuple[Token, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class MutationRecord:
+class MutationRecord(NamedTuple):
     kind: str
     label: str | None = None
 
@@ -75,8 +76,7 @@ class MutationRecord:
         return self.label is not None
 
 
-@dataclass(frozen=True, slots=True)
-class EntityMention:
+class EntityMention(NamedTuple):
     id: str
     start: int
     end: int
@@ -86,14 +86,12 @@ class EntityMention:
     mutations: tuple[MutationRecord, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class EventArg:
+class EventArg(NamedTuple):
     role: str
     ref: str
 
 
-@dataclass(frozen=True, slots=True)
-class EventMention:
+class EventMention(NamedTuple):
     id: str
     trigger_start: int
     trigger_end: int
@@ -102,8 +100,7 @@ class EventMention:
     polarity: str = "Unspecified"
 
 
-@dataclass(frozen=True, slots=True)
-class CorefLink:
+class CorefLink(NamedTuple):
     """One anaphor resolved to an ordered, non-empty list of antecedents.
 
     Every antecedent starts strictly before the anaphor: the resolver never
@@ -115,8 +112,7 @@ class CorefLink:
     sieve_name: str
 
 
-@dataclass(frozen=True, slots=True)
-class CompletedEvent:
+class CompletedEvent(NamedTuple):
     """A fully specified event emitted after substitution and splitting."""
 
     id: str
@@ -129,8 +125,7 @@ class CompletedEvent:
     provenance: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
+class Document(NamedTuple):
     doc_id: str
     text: str
     sentences: tuple[Sentence, ...] = ()

@@ -6,8 +6,7 @@ scaling across a corpus is process-level parallelism with no shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .completion import complete_events
 from .detection import AnaphorCandidate, TriggerDictionary, default_lexicon, detect_candidates
@@ -27,8 +26,7 @@ from .standoff import save_result
 ALL_SIEVES = frozenset(SIEVE_ORDER)
 
 
-@dataclass(frozen=True, slots=True)
-class ResolverConfig:
+class ResolverConfig(NamedTuple):
     lexicon: TriggerDictionary
     schema: ArgSchema
     grounding: GroundingTable
@@ -42,17 +40,24 @@ class ResolverConfig:
                    grounding=default_table(), disabled_sieves=disabled_sieves, trace=trace)
 
 
-@dataclass(slots=True)
 class Resolution:
-    doc: Document                      # cleaned document
-    candidates: list[AnaphorCandidate]
-    links: list[CorefLink]
-    chains: list[list[str]]
-    completed: list[CompletedEvent]
-    dropped_mentions: dict[str, str]
-    dropped_events: dict[str, str]
-    counters: dict[str, object]
-    trace: list[dict] | None = None
+    __slots__ = ("doc", "candidates", "links", "chains", "completed", "dropped_mentions",
+                 "dropped_events", "counters", "trace")
+
+    def __init__(self, doc: Document, candidates: list[AnaphorCandidate],
+                 links: list[CorefLink], chains: list[list[str]],
+                 completed: list[CompletedEvent], dropped_mentions: dict[str, str],
+                 dropped_events: dict[str, str], counters: dict[str, object],
+                 trace: list[dict] | None = None) -> None:
+        self.doc = doc  # cleaned document
+        self.candidates = candidates
+        self.links = links
+        self.chains = chains
+        self.completed = completed
+        self.dropped_mentions = dropped_mentions
+        self.dropped_events = dropped_events
+        self.counters = counters
+        self.trace = trace
 
     def to_bytes(self, emit_provenance: bool = False, line: bool = False) -> bytes:
         return save_result(
@@ -105,7 +110,6 @@ def resolve_document(doc: Document, config: ResolverConfig,
         schema=config.schema,
         grounding=config.grounding,
         candidates=candidates,
-        candidate_ids=frozenset(c.mention_id for c in candidates),
         trace=trace,
     )
 
@@ -147,6 +151,7 @@ def resolve_document(doc: Document, config: ResolverConfig,
                 entry["final"] = {"status": "UNRESOLVED"}
         trace_list = [trace[c.mention_id] for c in candidates]
 
+    chains = state.chains()
     counters = {
         "anaphors_detected": len(candidates),
         "anaphors_resolved": len(state.resolved),
@@ -155,7 +160,7 @@ def resolve_document(doc: Document, config: ResolverConfig,
                                      or c.mention_id in dropped_events)),
         "resolved_by_sieve": resolved_by_sieve,
         "links": len(state.links),
-        "chains": len(state.chains()),
+        "chains": len(chains),
         "events_in": len(doc.events),
         "events_completed": len(completed),
         "events_coref_derived": sum(1 for c in completed if c.provenance),
@@ -166,7 +171,7 @@ def resolve_document(doc: Document, config: ResolverConfig,
         doc=cleaned,
         candidates=candidates,
         links=list(state.links),
-        chains=state.chains(),
+        chains=chains,
         completed=completed,
         dropped_mentions=dropped_mentions,
         dropped_events=dropped_events,

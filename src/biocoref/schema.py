@@ -10,9 +10,9 @@ which caps anaphoric event search at one level of nesting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
 from functools import cache
-from importlib.resources import files
+from typing import NamedTuple
 
 from .model import EventMention, MalformedInput, SchemaViolation
 
@@ -23,8 +23,7 @@ class SchemaMissing(KeyError):
     """Raised when an event type has no schema row."""
 
 
-@dataclass(frozen=True, slots=True)
-class RoleSpec:
+class RoleSpec(NamedTuple):
     classes: frozenset[str]
     count: int  # required minimum; 0 marks an optional role
 
@@ -33,20 +32,16 @@ class RoleSpec:
         return EVENT_PSEUDO_CLASS in self.classes
 
 
-@dataclass(frozen=True, slots=True)
 class ArgSchema:
-    types: dict[str, dict[str, RoleSpec]]
+    """Role specs by event type and role. Regulations are the types with a role taking events."""
 
-    @property
-    def event_types(self) -> frozenset[str]:
-        return frozenset(self.types)
+    __slots__ = ("types", "event_types", "regulation_types")
 
-    @property
-    def regulation_types(self) -> frozenset[str]:
-        return frozenset(
-            t for t, roles in self.types.items()
-            if any(spec.allows_events for spec in roles.values())
-        )
+    def __init__(self, types: dict[str, dict[str, RoleSpec]]) -> None:
+        self.types = types
+        self.event_types = frozenset(types)
+        self.regulation_types = frozenset(
+            t for t, roles in types.items() if any(spec.allows_events for spec in roles.values()))
 
     def roles_for(self, event_type: str) -> dict[str, RoleSpec]:
         try:
@@ -93,7 +88,7 @@ def load_schema_file(path) -> ArgSchema:
 
 @cache
 def default_schema() -> ArgSchema:
-    return load_schema(files("biocoref").joinpath("data/schema.json").read_bytes())
+    return load_schema_file(os.path.join(os.path.dirname(__file__), "data", "schema.json"))
 
 
 def structurally_complete(event: EventMention, schema: ArgSchema) -> bool:

@@ -14,8 +14,7 @@ never offered as antecedents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .detection import AnaphorCandidate, Cardinality, _is_plural_noun
 from .index import DocIndex
@@ -39,8 +38,7 @@ _CLASS_EXPANSION = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class SearchConstraints:
+class SearchConstraints(NamedTuple):
     need: Cardinality
     excluded_ids: frozenset[str] = frozenset()
     allowed_classes: frozenset[str] | None = None
@@ -48,10 +46,12 @@ class SearchConstraints:
     antecedent_test: Callable[[EntityMention], str | None] | None = None
 
 
-@dataclass(slots=True)
 class SearchResult:
-    ids: list[str] = field(default_factory=list)
-    satisfied: bool = False
+    __slots__ = ("ids", "satisfied")
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.satisfied = False
 
 
 def expand_target_class(target: str | None) -> frozenset[str] | None:

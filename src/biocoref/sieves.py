@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterator
 
@@ -69,7 +68,6 @@ _SURFACE_COMPONENTS = re.compile(r"[\s\-/()]+")
 SearchPass = tuple[str, Callable[[EntityMention], str | None] | None]
 
 
-@dataclass(slots=True)
 class CorefState:
     """Shared mutable state threaded through the pipeline.
 
@@ -77,9 +75,12 @@ class CorefState:
     resolved anaphor is never re-resolved.
     """
 
-    uf: UnionFind = field(default_factory=UnionFind)
-    links: list[CorefLink] = field(default_factory=list)
-    resolved: set[str] = field(default_factory=set)
+    __slots__ = ("uf", "links", "resolved")
+
+    def __init__(self) -> None:
+        self.uf = UnionFind()
+        self.links: list[CorefLink] = []
+        self.resolved: set[str] = set()
 
     def chains(self) -> list[list[str]]:
         """Non-singleton chains, each sorted, in deterministic order."""
@@ -87,15 +88,20 @@ class CorefState:
         return sorted(groups)
 
 
-@dataclass(slots=True)
 class ResolveContext:
-    index: DocIndex
-    lexicon: TriggerDictionary
-    schema: ArgSchema
-    grounding: GroundingTable
-    candidates: list[AnaphorCandidate]
-    candidate_ids: frozenset[str]
-    trace: dict[str, dict] | None = None
+    __slots__ = ("index", "lexicon", "schema", "grounding", "candidates", "candidate_ids",
+                 "trace")
+
+    def __init__(self, index: DocIndex, lexicon: TriggerDictionary, schema: ArgSchema,
+                 grounding: GroundingTable, candidates: list[AnaphorCandidate],
+                 trace: dict[str, dict] | None = None) -> None:
+        self.index = index
+        self.lexicon = lexicon
+        self.schema = schema
+        self.grounding = grounding
+        self.candidates = candidates
+        self.candidate_ids = frozenset(c.mention_id for c in candidates)
+        self.trace = trace
 
     def record(self, anaphor_id: str, sieve: str, status: str,
                considered: list | None = None, antecedents: list[str] | None = None) -> None:
@@ -396,7 +402,7 @@ def sieve_cleanup(ctx: ResolveContext, state: CorefState
         ev = events[ev_id]
         kept_args = tuple(a for a in ev.args if a.ref not in dropped)
         if len(kept_args) < len(ev.args):
-            ev = replace(ev, args=kept_args)
+            ev = ev._replace(args=kept_args)
             if not structurally_complete(ev, ctx.schema):
                 dropped[ev_id] = "argument_removed"
                 continue

@@ -62,13 +62,25 @@ def test_glob_matching_one_file_many_ways_resolves_it_once(tmp_path, corpus_dir)
     assert [p.name for p in out.iterdir()] == ["x.json"]
 
 
-def test_cli_import_leaves_fixtures_and_evaluation_unloaded():
-    # resolve never uses them; cmd_fixtures and cmd_eval import them.
-    code = ("import sys, biocoref.cli; "
-            "print(sorted({'biocoref.fixtures', 'biocoref.evaluation'} & set(sys.modules)))")
+def test_cli_import_leaves_fixtures_and_evaluation_unloaded(tmp_path):
+    # resolve never uses the first two; cmd_fixtures and cmd_eval import them.
+    # The rest cost start-up time: dataclasses (which imports inspect) and
+    # multiprocessing, which resolve imports only when it starts a pool.
+    # Modules the interpreter loaded before biocoref are not counted.
+    code = f"""
+import sys
+before = set(sys.modules)
+unwanted = {{"biocoref.fixtures", "biocoref.evaluation", "dataclasses", "inspect",
+            "multiprocessing"}}
+import biocoref.cli
+print(sorted(unwanted & (set(sys.modules) - before)))
+biocoref.cli.main(["resolve", "--in", {str(tmp_path / "nothing-*.json")!r},
+                   "--out", {str(tmp_path / "out")!r}, "--jobs", "2"])
+print(sorted(unwanted & (set(sys.modules) - before)))
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
 
 def test_resolve_bad_config_exits_2(tmp_path, corpus_dir):

@@ -1,15 +1,26 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from biocoref.detection import default_lexicon
+from biocoref.detection import AnaphorCandidate, Cardinality, TriggerDictionary, default_lexicon
+from biocoref.evaluation import AdjudicationRecord, RunOutput
 from biocoref.grounding import default_table
 from biocoref.model import (
+    CompletedEvent,
+    CorefLink,
+    Document,
+    EntityMention,
+    EventArg,
+    EventMention,
     MutationRecord,
     SchemaViolation,
+    Sentence,
+    Token,
 )
-from biocoref.resolver import validate_disabled
-from biocoref.schema import default_schema, load_schema
+from biocoref.resolver import ResolverConfig, validate_disabled
+from biocoref.schema import EVENT_PSEUDO_CLASS, RoleSpec, default_schema, load_schema
+from biocoref.search import SearchConstraints
 from biocoref.sieves import SIEVE_ORDER
 from biocoref.standoff import load_document, load_result
 from biocoref.unionfind import UnionFind
@@ -290,3 +301,74 @@ def test_bundled_data_is_parsed_once():
     assert default_schema() is default_schema()
     assert default_lexicon() is default_lexicon()
     assert default_table() is default_table()
+
+
+def test_schema_type_sets_are_built_once():
+    schema = default_schema()
+    assert schema.event_types is schema.event_types == frozenset(schema.types)
+    assert schema.regulation_types is schema.regulation_types
+    assert schema.regulation_types == {
+        t for t, roles in schema.types.items()
+        if any(EVENT_PSEUDO_CLASS in spec.classes for spec in roles.values())}
+    assert "Regulation" in schema.regulation_types
+    assert "Phosphorylation" not in schema.regulation_types
+
+
+# Every public record: the class, its required fields, and its defaults, in
+# field order; and whether its fields are all hashable.
+_ONE = Cardinality(kind="One")
+RECORDS = [
+    (Token, {"start": 0, "end": 4, "surface": "RAF1"}, {"pos_hint": None}, True),
+    (Sentence, {"index": 0, "start": 0, "end": 4}, {"tokens": ()}, True),
+    (MutationRecord, {"kind": "Deletion"}, {"label": None}, True),
+    (EntityMention, {"id": "T1", "start": 0, "end": 4, "label": "Protein", "surface": "RAF1"},
+     {"grounding_id": None, "mutations": ()}, True),
+    (EventArg, {"role": "theme", "ref": "T1"}, {}, True),
+    (EventMention, {"id": "E1", "trigger_start": 5, "trigger_end": 9,
+                    "event_type": "Phosphorylation"},
+     {"args": (), "polarity": "Unspecified"}, True),
+    (CorefLink, {"anaphor_id": "T2", "antecedent_ids": ("T1",), "sieve_name": "pronominal"},
+     {}, True),
+    (CompletedEvent, {"id": "E1", "trigger_start": 5, "trigger_end": 9,
+                      "event_type": "Phosphorylation", "args": (EventArg("theme", "T1"),),
+                      "polarity": "Unspecified", "derived_from": "E1"},
+     {"provenance": ()}, True),
+    (Document, {"doc_id": "d", "text": "RAF1"},
+     {"sentences": (), "entities": (), "events": ()}, True),
+    (Cardinality, {"kind": "Exactly"}, {"n": 1}, True),
+    (AnaphorCandidate, {"mention_id": "T2", "kind": "Pronoun", "start": 6, "end": 8,
+                        "surface": "it", "cardinality": _ONE},
+     {"target_class": None, "mutant_subkind": None, "mutant_payload": None, "hosts": ()}, True),
+    (TriggerDictionary, {"event_triggers": {}, "class_lexicon": {}, "pronouns": {"it": _ONE},
+                         "mutant_nouns": frozenset(), "mutation_kind_nouns": frozenset(),
+                         "stopwords": frozenset({"the"})}, {}, False),
+    (RoleSpec, {"classes": frozenset({"Protein"}), "count": 1}, {}, True),
+    (SearchConstraints, {"need": _ONE},
+     {"excluded_ids": frozenset(), "allowed_classes": None, "banned_antecedents": frozenset(),
+      "antecedent_test": None}, True),
+    (ResolverConfig, {"lexicon": default_lexicon(), "schema": default_schema(),
+                      "grounding": default_table()},
+     {"disabled_sieves": frozenset(), "trace": False}, False),
+    (AdjudicationRecord, {"event_id": "E1", "judgment": Fraction(1)}, {"error_class": None}, True),
+    (RunOutput, {"doc_id": "d", "completed": []}, {}, False),
+]
+
+
+@pytest.mark.parametrize("cls, required, defaults, hashable", RECORDS,
+                         ids=[row[0].__name__ for row in RECORDS])
+def test_public_records_are_immutable_values(cls, required, defaults, hashable):
+    rec = cls(**required)
+    assert cls._fields == (*required, *defaults)
+    assert {name: getattr(rec, name) for name in defaults} == defaults
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+    twin = cls(**required)
+    assert rec == twin and rec is not twin
+    assert rec == (*required.values(), *defaults.values())
+    if hashable:
+        assert hash(rec) == hash(twin)
+    else:
+        with pytest.raises(TypeError):
+            hash(rec)
+    assert repr(rec).startswith(f"{cls.__name__}({cls._fields[0]}=")

@@ -8,9 +8,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 one or more documents failed, 2 configuration error.
 Per-run summaries go to stderr as JSON so stdout stays scriptable. ``resolve``
-fans documents, including each line of an NDJSON stream, out over its worker
-processes; the main process reads every input and writes every output,
-and holds a bounded window of documents, not whole files.
+is one loop on the main thread: it reads the inputs in order, hands their
+documents, each line of an NDJSON stream among them, out to its worker
+processes in tasks, and writes each task's results, in input order, once they
+are back. With at most two tasks per worker out at a time, the main process
+holds a bounded window of documents, not whole files.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ import json
 import math
 import os
 import sys
-import threading
 from collections import deque
 from contextlib import ExitStack, suppress
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .detection import default_lexicon, load_lexicon_file
 from .grounding import default_table, load_table_file
@@ -173,16 +174,18 @@ def _task_size(documents: int, jobs: int) -> int:
     return math.ceil(documents / (4 * jobs))
 
 
-def _tasks(paths: list[str], jobs: int, inputs: deque) -> Iterator[list[tuple[bytes | str, bool]]]:
+def _tasks(paths: list[str], jobs: int) -> Iterator[tuple[list, list]]:
     """Read the input files in order and yield their documents, in order, as
-    tasks of ``(text, is a stream line)``. A task holds at most _WINDOW
-    stream lines, or the share ``_task_size`` gives of single-document files
-    if that is fewer. What ``_collate`` needs is appended to ``inputs`` in
-    input order before the task that holds it is yielded: ``(input, line,
-    False, None)`` for each document, ``input`` being its file's index in
-    ``paths``, and ``(input, None, True, error)`` after a file's documents,
-    ``error`` being its read error or None. A stream that fails part way has
-    handed out its first documents already."""
+    ``(task, where)``: ``task`` holds ``(text, is a stream line)`` for at
+    most _WINDOW stream lines, or the share ``_task_size`` gives of
+    single-document files if that is fewer. ``where`` places them, in input
+    order: ``(input, line, False, None)`` for each document, ``input`` being
+    its file's index in ``paths``, and ``(input, None, True, error)`` after a
+    file's documents, ``error`` being its read error or None. A file's end
+    goes in the ``where`` of the last document read before it, or of the
+    first task if there is none; when no file has a document, that task is
+    empty. A stream that fails part way has handed out its first documents
+    already."""
     task: list[tuple[bytes | str, bool]] = []
     where: list[tuple[int, int | None, bool, str | None]] = []
     singles = min(_WINDOW, _task_size(len(paths), jobs))
@@ -194,65 +197,33 @@ def _tasks(paths: list[str], jobs: int, inputs: deque) -> Iterator[list[tuple[by
                 size = _WINDOW if stream else singles
                 for line, doc in docs:
                     if len(task) >= size:
-                        inputs.extend(where)
-                        yield task
+                        yield task, where
                         task, where = [], []
                     task.append((doc, stream))
                     where.append((index, line, False, None))
         except (OSError, UnicodeDecodeError) as exc:
             error = f"{type(exc).__name__}: {exc}"
         where.append((index, None, True, error))
-    inputs.extend(where)
-    if task:
-        yield task
+    if where:
+        yield task, where
 
 
-def _collate(results: Iterable[list], inputs: deque) -> Iterator[tuple[tuple, tuple | None]]:
-    """Each entry that ``_tasks`` recorded in ``inputs``, in input order, with
-    its document's result, or with None for the entry that ends a file.
-    ``results`` yields each task's list of results in task order. ``_tasks``
-    may run in the pool's task thread; it records a task's entries before
-    handing the task out, so a result's entry is there when the result
-    arrives, and a file's end is passed on as soon as it is recorded."""
-
-    def ends():
-        while inputs and inputs[0][2]:
-            yield inputs.popleft(), None
-
-    for task in results:
-        for result in task:
-            yield from ends()
-            yield inputs.popleft(), result
-            yield from ends()
-    yield from ends()
-
-
-class _Window:
-    """Bounds the tasks handed to the workers and not yet consumed: ``feed``
-    waits for a free place before it hands out each task, and ``drain``
-    frees one once a task's results are consumed. The pool's exit waits for
-    the thread that runs ``feed``, so every early exit calls ``close`` first,
-    which wakes a waiting ``feed`` and ends it."""
-
-    def __init__(self, size: int) -> None:
-        self._free = threading.Semaphore(size)
-        self._closed = False
-
-    def feed(self, tasks: Iterable[list]) -> Iterator[list]:
-        for task in tasks:
-            self._free.acquire()
-            if self._closed:
-                return
-            yield task
-
-    def drain(self, results: Iterable[list]) -> Iterator[list]:
-        for result in results:
-            yield result
-            self._free.release()
-
-    def close(self) -> None:
-        self._closed = True
-        self._free.release()
+def _run(tasks: Iterator[tuple[list, list]], submit: Callable[[list], Callable[[], list]],
+         window: int) -> Iterator[tuple[tuple, tuple | None]]:
+    """Each entry of each task's ``where``, in input order, with its
+    document's result, or with None for the entry that ends a file.
+    ``submit`` hands a task out and returns the call that waits for its
+    results; at most ``window`` tasks are handed out and not yet collected."""
+    waiting: deque = deque()
+    while True:
+        for task, where in islice(tasks, window - len(waiting)):
+            waiting.append((where, submit(task)))
+        if not waiting:
+            return
+        where, get = waiting.popleft()
+        results = iter(get())
+        for entry in where:
+            yield entry, None if entry[2] else next(results)
 
 
 def _totals() -> dict:
@@ -319,7 +290,7 @@ class _Output:
 
 def _outputs(collated: Iterable[tuple[tuple, tuple | None]], paths: list[str],
              out_names: dict[str, str], out_dir: str) -> Iterator[_Output]:
-    """Write each input's results as ``_collate`` hands them out, and yield
+    """Write each input's results as ``_run`` hands them out, and yield
     each input's ``_Output`` once its end has been handed out. An output left
     unfinished when an exception or ``close`` stops the generator is
     discarded."""
@@ -367,14 +338,12 @@ def cmd_resolve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summary: dict = {"docs": 0, "failed": [], **_totals()}
-    inputs: deque = deque()
     with ExitStack() as stack:
-        # Exits run in reverse: the unfinished output is discarded, the
-        # window wakes the task thread, the pool stops, and the input file
-        # that the task generator holds open is closed.
-        tasks = _tasks(paths, args.jobs, inputs)
+        # Exits run in reverse: the unfinished output is discarded, the pool
+        # stops, and the input file that the task generator holds open is
+        # closed.
+        tasks = _tasks(paths, args.jobs)
         stack.callback(tasks.close)
-        window = _Window(_TASKS_PER_JOB * args.jobs)
         if args.jobs > 1 and paths:
             # Imported here, so a run that starts no pool does not pay for it.
             # Forked workers start without a fresh interpreter and import; the
@@ -382,12 +351,11 @@ def cmd_resolve(args) -> int:
             import multiprocessing
             pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
                 args.jobs, initializer=_worker_init, initargs=(args,)))
-            results = pool.imap(_resolve_task, window.feed(tasks))
+            collated = _run(tasks, lambda task: pool.apply_async(_resolve_task, (task,)).get,
+                            _TASKS_PER_JOB * args.jobs)
         else:
-            results = map(partial(_resolve_task, config=config), window.feed(tasks))
-        stack.callback(window.close)
-        outputs = _outputs(_collate(window.drain(results), inputs), paths, out_names,
-                           str(out_dir))
+            collated = _run(tasks, lambda task: partial(_resolve_task, task, config), 1)
+        outputs = _outputs(collated, paths, out_names, str(out_dir))
         stack.callback(outputs.close)
         for output in outputs:
             if output.failure is not None:

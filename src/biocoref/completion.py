@@ -6,16 +6,23 @@ mentions or the antecedents of one plural anaphor, splits the event into one
 copy per filler; fillers of a role pair with the other roles' participants,
 never with each other. Regulations wrapping a split event are duplicated per
 split child. Events whose two participants end up in one coreference chain
-are suppressed: nothing reacts with itself here.
+are suppressed: nothing reacts with itself here. An event that would split into
+more than EXPANSION_LIMIT copies is dropped instead.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from .model import CompletedEvent, CorefLink, Document, EventArg, EventMention, event_order
 from .schema import ArgSchema
 from .unionfind import UnionFind
+
+# The most events one event mention may split into. The largest split in the
+# fixtures and the benchmark corpora is 6; the limit stops a few dozen
+# fillers per role from multiplying into tens of thousands of events.
+EXPANSION_LIMIT = 1024
 
 
 def complete_events(doc: Document, schema: ArgSchema, links: list[CorefLink],
@@ -23,7 +30,8 @@ def complete_events(doc: Document, schema: ArgSchema, links: list[CorefLink],
     """Emit the final event set for a cleaned document.
 
     Returns the completed events plus the events dropped here (still
-    incomplete after substitution, or suppressed as self-relations).
+    incomplete after substitution, suppressed as self-relations, or past
+    EXPANSION_LIMIT).
     """
     links_by_anaphor = {l.anaphor_id: l for l in links}
     events = {ev.id: ev for ev in doc.events}
@@ -57,10 +65,12 @@ def complete_events(doc: Document, schema: ArgSchema, links: list[CorefLink],
                 return []
 
         active_roles = [r for r in role_order if fillers[r]]
-        combos = list(product(*(fillers[r] for r in active_roles)))
+        if prod(len(fillers[r]) for r in active_roles) > EXPANSION_LIMIT:
+            dropped[ev.id] = "expansion_limit"
+            return []
         out: list[CompletedEvent] = []
         suppressed = 0
-        for combo in combos:
+        for combo in product(*(fillers[r] for r in active_roles)):
             roots = [uf.find(fid) for fid, _ in combo]
             if len(set(roots)) < len(roots):
                 suppressed += 1

@@ -38,7 +38,7 @@ from .model import (
     Token,
     validate_document,
 )
-from .schema import ArgSchema, default_schema
+from .schema import EVENT_PSEUDO_CLASS, ArgSchema, default_schema
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
@@ -206,12 +206,19 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
     )
     validate_document(doc, event_types=schema.event_types)
 
-    # Validate argument roles against the schema so junk roles fail loudly.
+    # Validate argument roles and their fillers' classes against the schema
+    # so junk arguments fail loudly.
+    classes = {ent.id: ent.label for ent in doc.entities}
+    classes.update((ev.id, EVENT_PSEUDO_CLASS) for ev in doc.events)
     for ev in doc.events:
         roles = schema.roles_for(ev.event_type)
         for arg in ev.args:
-            if arg.role not in roles:
+            spec = roles.get(arg.role)
+            if spec is None:
                 raise SchemaViolation(f"{ev.id}: role {arg.role!r} not in schema for {ev.event_type}")
+            if classes[arg.ref] not in spec.classes:
+                raise SchemaViolation(f"{ev.id}: {arg.role} filler {arg.ref} of class "
+                                      f"{classes[arg.ref]} not in schema for {ev.event_type}")
 
     return doc
 

@@ -1,6 +1,7 @@
 import json
+import time
 
-from biocoref import resolver
+from biocoref import completion, resolver
 from biocoref.fixtures import Ent, Ev, _doc
 from biocoref.standoff import load_document
 
@@ -118,3 +119,23 @@ def test_derived_from_preserves_source_event(resolved_corpus):
         event_ids = {ev.id for ev in doc.events}
         for c in res.completed:
             assert c.derived_from in event_ids, doc_id
+
+
+def test_event_past_the_expansion_limit_is_dropped_unexpanded():
+    # 40 themes x 40 causes x 40 sites would complete as 64,000 events.
+    names = [f"P{i}" for i in range(80)]
+    sites = [f"S{i}" for i in range(40)]
+    sentence = " ".join(names + sites) + " phosphorylation."
+    ents = [Ent(f"T{i}", 0, name, "Protein") for i, name in enumerate(names)]
+    ents += [Ent(f"T{80 + i}", 0, site, "Site") for i, site in enumerate(sites)]
+    roles = ["theme"] * 40 + ["cause"] * 40 + ["site"] * 40
+    d = _doc("fanout", [sentence], ents,
+             [Ev("E1", 0, "phosphorylation", "Phosphorylation",
+                 [(role, ent.id) for role, ent in zip(roles, ents)])])
+    assert 40 ** 3 > completion.EXPANSION_LIMIT
+    start = time.perf_counter()
+    res = _resolve(d)
+    assert time.perf_counter() - start < 1.0
+    assert res.completed == []
+    assert res.dropped_events == {"E1": "expansion_limit"}
+    assert res.counters["events_dropped"] == 1

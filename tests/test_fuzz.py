@@ -3,9 +3,10 @@
 Each mutant is a fixture with one to three random edits: the values of two
 fields of one name and type swapped, an object key or a list item deleted, or
 a list item duplicated. Every mutant goes through the CLI's per-document
-boundary with provenance on; no exception may escape it. Deleted event
-arguments change which events are complete, so the digest pins the
-completeness rule too.
+boundary with provenance on; no exception may escape it. Every mutant that
+loads must also keep the README guarantees that ``test_properties``
+checks. Deleted event arguments change which events are complete, so the
+digest pins the completeness rule too.
 
 The digest pins what each mutant produced: its result bytes, or its failure.
 A ``SchemaViolation`` or ``MalformedInput`` contributes its full message, so
@@ -22,6 +23,9 @@ from pathlib import Path
 
 from biocoref.cli import _resolve_text
 from biocoref.resolver import ResolverConfig
+from biocoref.standoff import load_document
+
+from test_properties import check_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MUTANTS = 2000
@@ -82,6 +86,7 @@ def test_fixture_mutants_never_escape_and_match_golden_digest():
         output, _counters, error = _resolve_text(text, False, config)
         if error is None:
             h.update(output)
+            check_document(load_document(text, schema=config.schema), config)
         else:
             kind = error.split(":", 1)[0]
             h.update((error if kind in FULL_MESSAGE else kind).encode("utf-8"))

@@ -127,8 +127,8 @@ def test_peak_memory_is_flat_in_stream_length(tmp_path, jobs):
 
 def test_strict_exit_with_a_full_window_does_not_hang(tmp_path):
     # 301 files make 8 tasks of 38 at --jobs 2, twice the window of 4 tasks,
-    # and the failure is in the first task: the exit must wake the task
-    # thread that waits for the window before the pool can stop.
+    # and the failure is in the first task: the exit must stop the pool
+    # while the rest of the window is still handed out.
     (tmp_path / "a_bad.json").write_text('{"doc_id": "broken"}')
     for i in range(300):
         (tmp_path / f"b{i:03}.json").write_text(json.dumps(minimal(f"b{i}")))
@@ -183,6 +183,46 @@ def test_interrupt_leaves_no_part_file(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         cli.main(["resolve", "--in", str(tmp_path / "*"), "--out", str(out), "--jobs", "1"])
     assert [p.name for p in out.iterdir()] == ["a_ok.json"]
+
+
+INTERRUPTED = """
+import sys
+from biocoref import cli
+fold, calls = cli._fold, []
+
+def interrupted(totals, counters):
+    calls.append(None)
+    if len(calls) == 101:
+        raise KeyboardInterrupt
+    fold(totals, counters)
+
+cli._fold = interrupted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_interrupt_with_a_full_window_stops_the_pool_and_leaves_no_part_file(tmp_path):
+    # 300 files make 8 tasks of 38 at --jobs 2. Each file folds its counters
+    # twice, into its own totals and into the summary, so the 101st fold is
+    # the 51st file's first, in the second task, with the window of 4 tasks
+    # full. The interrupt runs in a subprocess, so the test process never forks.
+    for i in range(300):
+        (tmp_path / f"f{i:03}.json").write_text(json.dumps(minimal(f"f{i}")))
+    out = tmp_path / "out"
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTED, "resolve",
+                             "--in", str(tmp_path / "*.json"), "--out", str(out), "--jobs", "2"],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        _, stderr = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("resolve --jobs 2 hung after an interrupt")
+    assert proc.returncode != 0 and "KeyboardInterrupt" in stderr, stderr
+    assert sorted(p.name for p in out.iterdir()) == [f"f{i:03}.json" for i in range(50)]
+    for i in range(50):
+        assert json.loads((out / f"f{i:03}.json").read_bytes())["doc_id"] == f"f{i}"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

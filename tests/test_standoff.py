@@ -106,6 +106,18 @@ def test_unknown_event_type_rejected():
         load_document(json.dumps(raw))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: r["events"][0]["args"][0].update(ref="E3"), "theme1 filler E3 of class Event"),
+    (lambda r: r["entities"][0].update(label="Site"), "theme1 filler T1 of class Site"),
+], ids=["event-for-an-entity-role", "entity-of-another-class"])
+def test_argument_filler_of_a_class_its_role_does_not_allow_is_rejected(corpus, edit, message):
+    # ex18_ll37_igf1r's E1 is a Binding whose theme1 is the protein T1.
+    raw = json.loads(json.dumps(corpus["ex18_ll37_igf1r"]))
+    edit(raw)
+    with pytest.raises(SchemaViolation, match=f"E1: {message} not in schema for Binding"):
+        load_document(json.dumps(raw))
+
+
 def test_loading_is_pure(corpus):
     data = json.dumps(corpus["ex12_foxp3"])
     assert load_document(data) == load_document(data)

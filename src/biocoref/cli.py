@@ -23,6 +23,7 @@ import glob as globlib
 import json
 import math
 import os
+import re
 import sys
 from collections import deque
 from contextlib import ExitStack, suppress
@@ -126,6 +127,31 @@ def _lines(file: BinaryIO, size: int) -> Iterator[str]:
         yield from "".join(head).splitlines()
 
 
+_OBJECT = object()  # what _skim gives for each JSON object
+_NON_SPACE = re.compile(r"\S")
+
+
+def _two_lines(text: str) -> bool:
+    """Whether ``text`` has at least two non-empty lines, as
+    ``str.splitlines`` and ``str.strip`` see them, found without splitting it."""
+    first = _NON_SPACE.search(text)
+    if first is None:
+        return False
+    # The first line end after it; each search stops at the nearest found so far.
+    start, end = first.end(), len(text)
+    for char in _LINE_ENDS:
+        found = text.find(char, start, end)
+        if found >= 0:
+            end = found
+    return end < len(text) and _NON_SPACE.search(text, end) is not None
+
+
+def _skim(text: str) -> object:
+    """``json.loads(text)`` with each JSON object in it replaced by _OBJECT:
+    what ``text`` holds, found without building a tree of it."""
+    return json.loads(text, object_pairs_hook=lambda pairs: _OBJECT)
+
+
 def _documents(file: BinaryIO) -> tuple[bool, Iterable[tuple[int | None, bytes | str]]]:
     """Whether an input file is an NDJSON stream, and its documents as
     ``(line, text)``: a stream's non-empty lines, numbered from 1 as
@@ -133,37 +159,42 @@ def _documents(file: BinaryIO) -> tuple[bool, Iterable[tuple[int | None, bytes |
     A file is a stream when it does not load as one JSON object and has at
     least two non-empty lines.
 
-    A file longer than one read whose first non-empty line holds a JSON
-    value by itself, with a second non-empty line after it, cannot be one
-    object: it is read lazily as a stream. Any other file is read whole to
-    apply the rule. A single document stays bytes: non-ASCII text takes less
-    memory as UTF-8 than as a str."""
+    A file longer than one read is first read line by line. With at most
+    one non-empty line it is one document. If its first non-empty line holds
+    a JSON value by itself, the file cannot be one object: it is read lazily
+    as a stream. Any other file is read whole to apply the rule; it is
+    parsed only when it has two non-empty lines, and split into lines only
+    when it is not one object. A single document stays bytes: non-ASCII text
+    takes less memory as UTF-8 than as a str."""
     data = file.read(_READ_SIZE)
     if len(data) == _READ_SIZE:
         file.seek(0)
         lines = ((n, line) for n, line in enumerate(_lines(file, _READ_SIZE), 1)
                  if line.strip())
         first, second = next(lines, None), next(lines, None)
-        if second is not None:
-            try:
-                json.loads(first[1])
-            except (ValueError, RecursionError):
-                pass
-            else:
-                return True, chain((first, second), lines)
+        if second is None:  # at most one non-empty line: one document
+            del first
+            file.seek(0)
+            return False, [(None, file.read())]
+        try:
+            _skim(first[1])
+        except (ValueError, RecursionError):
+            pass
+        else:
+            return True, chain((first, second), lines)
         file.seek(0)
         data = file.read()
     text = data.decode("utf-8")
-    numbered = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
-    if len(numbered) >= 2:
+    if _two_lines(text):
         try:
-            # Parsing a stream stops after its first line; a document spread
-            # over several lines is parsed in full here and again by its worker.
-            stream = not isinstance(json.loads(text), dict)
-        except (ValueError, RecursionError):
+            # A document parsed here is parsed again by its worker; a stream's
+            # parse stops after its first line.
+            stream = _skim(text) is not _OBJECT
+        except (ValueError, RecursionError):  # RecursionError: nesting too deep
             stream = True
         if stream:
-            return True, numbered
+            return True, [(n, line) for n, line in enumerate(text.splitlines(), 1)
+                          if line.strip()]
     return False, [(None, data)]
 
 
@@ -224,6 +255,7 @@ def _run(tasks: Iterator[tuple[list, list]], submit: Callable[[list], Callable[[
         results = iter(get())
         for entry in where:
             yield entry, None if entry[2] else next(results)
+        del get, results  # written: not held while more input is read and waited for
 
 
 def _totals() -> dict:
@@ -302,6 +334,7 @@ def _outputs(collated: Iterable[tuple[tuple, tuple | None]], paths: list[str],
                 output = _Output(path, out_dir, out_names[path])
             if not end:
                 output.add(line, result)
+                del result  # written: not held while the next one is awaited
                 continue
             output.finish(read_error)
             finished, output = output, None

@@ -1,12 +1,22 @@
 """Seeded fuzz regression: mutants of the 22 fixtures never crash the batch.
 
-Each mutant is a fixture with one to three random edits: the values of two
-fields of one name and type swapped, an object key or a list item deleted, or
-a list item duplicated. Every mutant goes through the CLI's per-document
-boundary with provenance on; no exception may escape it. Every mutant that
-loads must also keep the README guarantees that ``test_properties``
-checks. Deleted event arguments change which events are complete, so the
-digest pins the completeness rule too.
+Two families of mutants, each a fixture with one to three random edits:
+
+- ``_mutate``: the values of two fields of one name and type swapped, an
+  object key or a list item deleted, or a list item duplicated. Most of
+  these mutants fail to load, so they test the loader's checks.
+- ``_mutate_loadable``: edits that keep a document valid: an event argument
+  or a token's ``pos`` dropped, an entity or event that nothing references
+  deleted, or the labels of two entities swapped where every role that
+  names either allows both classes. Every one of these mutants must load;
+  they test the resolver and the result writer, and their digest covers
+  both the result file and the stream line of each.
+
+Every mutant goes through the CLI's per-document boundary with provenance
+on; no exception may escape it. Every mutant that loads must also keep the
+README guarantees that ``test_properties`` checks. Deleted event arguments
+change which events are complete, so the digests pin the completeness rule
+too.
 
 The digest pins what each mutant produced: its result bytes, or its failure.
 A ``SchemaViolation`` or ``MalformedInput`` contributes its full message, so
@@ -23,6 +33,7 @@ from pathlib import Path
 
 from biocoref.cli import _resolve_text
 from biocoref.resolver import ResolverConfig
+from biocoref.schema import default_schema
 from biocoref.standoff import load_document
 
 from test_properties import check_document
@@ -30,6 +41,7 @@ from test_properties import check_document
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MUTANTS = 2000
 GOLDEN = "6ecd3008916b709815fc6dbdd269d1c1bd145e1de98bd69bbc41df6637f63093"
+LOADABLE_GOLDEN = "69c338a142d084ddfb4abe2f34e6c01e6bb7900ecfc8a4e0647d6a875b265a93"
 FULL_MESSAGE = ("SchemaViolation", "MalformedInput")
 SECTIONS = ("sentences", "entities", "events")
 
@@ -75,6 +87,49 @@ def _mutate(rng, raw):
     return doc
 
 
+def _label_swaps(entities, args, schema):
+    """Pairs of entities with different labels where every role that names
+    either allows the other's label."""
+    allowed = {e["id"]: None for e in entities}  # None: no role names it
+    for ev, arg in args:
+        if arg["ref"] in allowed:
+            classes = schema.roles_for(ev["type"])[arg["role"]].classes
+            prior = allowed[arg["ref"]]
+            allowed[arg["ref"]] = classes if prior is None else prior & classes
+    return [(x, y) for x in entities for y in entities if x["label"] < y["label"]
+            and (allowed[x["id"]] is None or y["label"] in allowed[x["id"]])
+            and (allowed[y["id"]] is None or x["label"] in allowed[y["id"]])]
+
+
+def _mutate_loadable(rng, raw, schema):
+    doc = _copy(raw)
+    entities, events = doc["entities"], doc["events"]
+    for _ in range(rng.randint(1, 3)):
+        args = [(ev, a) for ev in events for a in ev["args"]]
+        referenced = {a["ref"] for _, a in args}
+        # Each edit is drawn from the kinds that have a target in ``doc``.
+        kinds = [kind for kind in (
+            [("arg", target) for target in args],
+            [("pos", t) for s in doc["sentences"] for t in s["tokens"] if "pos" in t],
+            [("free", (records, i)) for records in (entities, events)
+             for i, record in enumerate(records) if record["id"] not in referenced],
+            [("labels", pair) for pair in _label_swaps(entities, args, schema)],
+        ) if kind]
+        if not kinds:
+            break
+        kind, target = rng.choice(rng.choice(kinds))
+        if kind == "arg":
+            target[0]["args"].remove(target[1])
+        elif kind == "pos":
+            del target["pos"]
+        elif kind == "free":
+            del target[0][target[1]]
+        else:
+            x, y = target
+            x["label"], y["label"] = y["label"], x["label"]
+    return doc
+
+
 def test_fixture_mutants_never_escape_and_match_golden_digest():
     config = ResolverConfig.default(trace=True)
     bases = [json.loads(p.read_bytes()) for p in sorted(FIXTURES.glob("ex*.json"))]
@@ -92,3 +147,20 @@ def test_fixture_mutants_never_escape_and_match_golden_digest():
             h.update((error if kind in FULL_MESSAGE else kind).encode("utf-8"))
         h.update(b"\0")
     assert h.hexdigest() == GOLDEN
+
+
+def test_loadable_mutants_keep_guarantees_and_match_golden_digest():
+    config = ResolverConfig.default(trace=True)
+    schema = default_schema()
+    bases = [json.loads(p.read_bytes()) for p in sorted(FIXTURES.glob("ex*.json"))]
+    rng = random.Random(8)
+    h = hashlib.sha256()
+    for _ in range(MUTANTS):
+        text = json.dumps(_mutate_loadable(rng, rng.choice(bases), schema), ensure_ascii=False)
+        for line in (False, True):
+            output, _counters, error = _resolve_text(text, line, config)
+            assert error is None, error
+            h.update(output)
+            h.update(b"\0")
+        check_document(load_document(text, schema=config.schema), config)
+    assert h.hexdigest() == LOADABLE_GOLDEN

@@ -85,6 +85,58 @@ def test_lazy_stream_rule_agrees_with_the_whole_file_rule(monkeypatch, text, str
     assert found[4] == (stream, want)
 
 
+def reference_rule(data):
+    """The stream rule as ``_documents`` once applied it to a file read
+    whole: split the text into its non-empty lines, then build the whole
+    JSON tree to see whether it is one object."""
+    text = data.decode("utf-8")
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if len(numbered) >= 2:
+        try:
+            stream = not isinstance(json.loads(text), dict)
+        except (ValueError, RecursionError):
+            stream = True
+        if stream:
+            return True, numbered
+    return False, [(None, data)]
+
+
+ONE_OBJECT_RULE = [
+    ("indented document", json.dumps(minimal("d", "GSK3\u03b2"), indent=2, ensure_ascii=False)),
+    ("one-line document", LINE),
+    ("two-line stream", f"{LINE}\n{LINE}"),
+    ("malformed first line", f'{{"doc_id": \n{LINE}\n{LINE}\n'),
+    ("object over two lines", '{"a":\n1}'),
+    ("top-level array", "[\n{},\n{}\n]\n"),
+    ("number on two lines", "\n12\n\n"),
+    ("two numbers", "1\n2"),
+    ("empty file", ""),
+    ("whitespace-only file", " \n\t\r\n\u3000\n"),
+    ("object split by U+001C", '{"a":\x1c1}'),
+    ("object then a space-only line", f"{LINE}\n\u3000\n"),
+    ("nested too deep", "[" * 100000 + "\n" + "]" * 100000),
+]
+
+
+@pytest.mark.parametrize("text", [case[1] for case in ONE_OBJECT_RULE],
+                         ids=[case[0] for case in ONE_OBJECT_RULE])
+def test_stream_rule_agrees_with_the_rule_that_built_the_tree(monkeypatch, text):
+    data = text.encode("utf-8")
+    for size in (4, 1 << 20):
+        monkeypatch.setattr(cli, "_READ_SIZE", size)
+        stream, docs = cli._documents(io.BytesIO(data))
+        assert (stream, list(docs)) == reference_rule(data), size
+
+
+def test_stream_rule_agrees_with_the_reference_on_random_texts():
+    rng = random.Random(10)
+    atoms = WORDS + SEPARATORS + [LINE, "[", "]", "1", "{", "}", '"a":', ","]
+    for _ in range(2000):
+        data = "".join(rng.choice(atoms) for _ in range(rng.randrange(12))).encode("utf-8")
+        stream, docs = cli._documents(io.BytesIO(data))
+        assert (stream, list(docs)) == reference_rule(data), data
+
+
 def test_a_stream_is_read_as_its_documents_are_taken(monkeypatch):
     monkeypatch.setattr(cli, "_READ_SIZE", 256)
     data = ndjson(minimal(f"d{i}") for i in range(1000))

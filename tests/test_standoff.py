@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,10 +18,11 @@ from biocoref.model import (
     Sentence,
     Token,
 )
-from biocoref.standoff import indented_json, load_document, load_result, save_result
+from biocoref.standoff import (document_from_dict, indented_json, load_document, load_result,
+                               save_result)
 
 from conftest import load_fixture
-from synth import synth_corpus
+from synth import synth_corpus, synth_doc
 
 
 def test_ex10_loads_expected_mentions(corpus):
@@ -377,3 +379,29 @@ def test_writer_matches_reference_on_corpora(corpus, provenance, line):
                                     res.chains if provenance else None,
                                     res.trace if provenance else None, line)
         assert res.to_bytes(emit_provenance=provenance, line=line) == expected, raw["doc_id"]
+
+
+@pytest.fixture(scope="module")
+def long_resolution():
+    """A traced 1,600-sentence document with one non-ASCII character in its
+    text, so that any str of the whole result takes two bytes per character."""
+    raw = synth_doc(random.Random(3), 0, sentences=1600)
+    i = raw["text"].index("a")
+    raw["text"] = raw["text"][:i] + "\u03b2" + raw["text"][i + 1:]  # offsets unchanged
+    config = resolver.ResolverConfig.default(trace=True)
+    return resolver.resolve_document(document_from_dict(raw, config.schema), config)
+
+
+@pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
+@pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
+def test_encoding_a_long_result_allocates_at_most_3_5_times_its_size(long_resolution, line,
+                                                                      provenance):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = long_resolution.to_bytes(emit_provenance=provenance, line=line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "\u03b2".encode("utf-8") in out
+    assert peak - before <= 3.5 * len(out), (peak - before) / len(out)

@@ -440,35 +440,48 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     try:
         raw = json.loads(Path(args.result).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    if not isinstance(raw, dict):
+        print("configuration error: result file does not hold a JSON object", file=sys.stderr)
         return 2
     trace = raw.get("trace")
     if trace is None:
         print("configuration error: result file has no trace; re-run resolve with "
               "--emit-provenance", file=sys.stderr)
         return 2
-    entry = next((t for t in trace if t["anaphor"] == args.anaphor), None)
-    if entry is None:
-        known = ", ".join(t["anaphor"] for t in trace) or "(none)"
-        print(f"unknown anaphor {args.anaphor!r}; traced anaphors: {known}", file=sys.stderr)
+    try:
+        entry = next((t for t in trace if t["anaphor"] == args.anaphor), None)
+        if entry is None:
+            known = ", ".join(t["anaphor"] for t in trace) or "(none)"
+            print(f"unknown anaphor {args.anaphor!r}; traced anaphors: {known}",
+                  file=sys.stderr)
+            return 2
+        lines = _render_trace_entry(entry)
+    except (AttributeError, KeyError, TypeError) as exc:
+        print(f"configuration error: malformed trace: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
+    print("\n".join(lines))
+    return 0
 
-    print(f"anaphor {entry['anaphor']} ({entry['kind']}) {entry['surface']!r} "
-          f"span={entry['span']} cardinality={entry['cardinality']}")
+
+def _render_trace_entry(entry: dict) -> list[str]:
+    lines = [f"anaphor {entry['anaphor']} ({entry['kind']}) {entry['surface']!r} "
+             f"span={entry['span']} cardinality={entry['cardinality']}"]
     for attempt in entry["attempts"]:
-        line = f"  {attempt['sieve']}: {attempt['status']}"
-        print(line)
+        lines.append(f"  {attempt['sieve']}: {attempt['status']}")
         for item in attempt.get("considered", ()):
-            print(f"    {item['id']}: {item['verdict']}")
+            lines.append(f"    {item['id']}: {item['verdict']}")
         if attempt.get("antecedents"):
-            print(f"    -> {' '.join(attempt['antecedents'])}")
+            lines.append(f"    -> {' '.join(attempt['antecedents'])}")
     final = entry.get("final", {})
     if final.get("status") == "LINKED":
-        print(f"  LINKED by {final['sieve']} -> {' '.join(final['antecedents'])}")
+        lines.append(f"  LINKED by {final['sieve']} -> {' '.join(final['antecedents'])}")
     else:
-        print(f"  {final.get('status', 'UNRESOLVED')}")
-    return 0
+        lines.append(f"  {final.get('status', 'UNRESOLVED')}")
+    return lines
 
 
 def cmd_fixtures(args) -> int:

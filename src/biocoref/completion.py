@@ -91,11 +91,7 @@ def complete_events(doc: Document, schema: ArgSchema, links: list[CorefLink],
         if not out:
             dropped[ev.id] = "self_relation" if suppressed else "incomplete_after_substitution"
         elif len(out) > 1:
-            out = [CompletedEvent(
-                id=f"{c.derived_from}.c{i}", trigger_start=c.trigger_start,
-                trigger_end=c.trigger_end, event_type=c.event_type, args=c.args,
-                polarity=c.polarity, derived_from=c.derived_from, provenance=c.provenance,
-            ) for i, c in enumerate(out)]
+            out = [c._replace(id=f"{c.derived_from}.c{i}") for i, c in enumerate(out)]
         return out
 
     # A resolved event anaphor stands for its antecedent event.

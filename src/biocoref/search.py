@@ -29,6 +29,7 @@ EXCLUDED_ANAPHOR = "excluded_anaphor"
 EXCLUDED_PARTICIPANT = "excluded_participant"
 EXCLUDED_CHAIN = "excluded_chain"
 EXCLUDED_CLASS = "excluded_class"
+EXCLUDED_INCOMPLETE = "excluded_incomplete"
 EXCLUDED_DUPLICATE_CHAIN = "excluded_duplicate_chain"
 
 # When a class noun names a broad class, gene-or-gene-product mentions count.
@@ -204,8 +205,10 @@ def _event_verdict(ev: EventMention, anaphor: AnaphorCandidate, event_type: str,
         return EXCLUDED_SELF
     if ev.id in excluded_ids:
         return EXCLUDED_PARTICIPANT
-    if ev.event_type != event_type or ev.id not in complete:
+    if ev.event_type != event_type:
         return EXCLUDED_CLASS
+    if ev.id not in complete:
+        return EXCLUDED_INCOMPLETE
     for ex in excluded_ids:
         if uf.same(ev.id, ex):
             return EXCLUDED_CHAIN

@@ -310,6 +310,10 @@ def sieve_strict_head(ctx: ResolveContext, state: CorefState) -> None:
     ASPP2 protein"; "the activated ASPP2" does not, because "activated" is
     absent. Matching is mention-local and ignores chain members, and the
     search reaches back to the start of the document.
+
+    Only the earlier entities holding the head word are walked, nearest
+    first, so the trace lists those alone: one lacking another content word
+    is ``excluded_word_containment``, any other gets the search verdict.
     """
     head_index = None
     for cand in _pending(ctx, state, "strict_head", lambda c: c.kind == det.CLASS_NP):
@@ -319,26 +323,20 @@ def sieve_strict_head(ctx: ResolveContext, state: CorefState) -> None:
         content = [w.lower() for w in words if not ctx.lexicon.is_stopword(w)]
         if not content:
             continue
-        head = content[-1]
         cons = build_constraints(ctx.index, cand, ctx.schema, banned=ctx.candidate_ids)
         if head_index is None:
             head_index = _head_index(ctx)
         order, neg_starts, ent_words, by_word = head_index
         first = bisect_right(neg_starts, -cand.start)  # first entity starting earlier
+        hits = by_word.get(content[-1], [])  # the entities holding the head word
         considered: list = [] if ctx.trace is not None else None
-        if considered is None:  # only entities containing the head word can pass
-            hits = by_word.get(head, [])
-            scan = hits[bisect_left(hits, first):]
-        else:
-            scan = range(first, len(order))
-        for i in scan:
+        for i in hits[bisect_left(hits, first):]:
             contained = ent_words[i].issuperset(content)
-            if considered is None and not contained:
+            if not contained and considered is None:
                 continue
             ent = order[i]
-            verdict = verdict_for(ent, cand, cons, state.uf, [])
-            if verdict == ACCEPTED and not contained:
-                verdict = "excluded_word_containment"
+            verdict = (verdict_for(ent, cand, cons, state.uf, []) if contained
+                       else "excluded_word_containment")
             if considered is not None:
                 considered.append({"id": ent.id, "verdict": verdict})
             if verdict == ACCEPTED:

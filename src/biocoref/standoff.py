@@ -13,8 +13,10 @@ Input schema (one document per file, or one per line in an NDJSON stream):
 
 Result files add "links" and "completed_events". Serialization is canonical:
 each result is the bytes ``json.dumps(ensure_ascii=False)`` gives for it as an
-indented file (``indent=2``) or a compact stream line. ``save_result`` formats
-the model straight into one table of ``%``-templates per layout, and encodes
+indented file (``indent=2``) or a compact stream line. ``save_result`` is the
+one writer: it formats the model straight into one table of ``%``-templates
+per layout, one template per record shape, the provenance ``chains`` and
+``trace`` included, so no generic JSON encoder is involved. It encodes
 the text and each record by itself, so that no string of the whole result is
 built: encoding a result takes about two to three times its size on top of
 the model, whatever characters its text holds.
@@ -23,9 +25,8 @@ the model, whatever characters its text holds.
 from __future__ import annotations
 
 import json
-from functools import partial
 from json.encoder import encode_basestring
-from typing import Any, Callable
+from typing import Any
 
 from .model import (
     CompletedEvent,
@@ -226,84 +227,6 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
     return doc
 
 
-class _Indents(dict):
-    """depth -> (before the first item, between items, before the closing
-    bracket) of a container whose items sit at ``depth``."""
-
-    def __missing__(self, depth: int) -> tuple[str, str, str]:
-        ind = "\n" + "  " * depth
-        self[depth] = value = (ind, "," + ind, ind[:-2])
-        return value
-
-
-_INDENTS = _Indents()
-
-
-def _write_indented(value: Any, depth: int, out: list[str]) -> None:
-    """Append the indented JSON of ``value``, nested ``depth`` deep, to ``out``.
-    Strings and integers, most of a result, are written inline in their
-    container's loop."""
-    kind = type(value)
-    if kind is str:
-        out.append(encode_basestring(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        lead, sep, close = _INDENTS[depth + 1]
-        append = out.append
-        append("{")
-        for key, item in value.items():
-            append(lead)
-            append(encode_basestring(key))
-            append(": ")
-            lead = sep
-            if type(item) is str:
-                append(encode_basestring(item))
-            elif type(item) is int:
-                append(int.__repr__(item))
-            else:
-                _write_indented(item, depth + 1, out)
-        append(close)
-        append("}")
-    elif kind is list or kind is tuple:
-        if not value:
-            out.append("[]")
-            return
-        lead, sep, close = _INDENTS[depth + 1]
-        append = out.append
-        append("[")
-        for item in value:
-            append(lead)
-            lead = sep
-            if type(item) is str:
-                append(encode_basestring(item))
-            elif type(item) is int:
-                append(int.__repr__(item))
-            else:
-                _write_indented(item, depth + 1, out)
-        append(close)
-        append("]")
-    elif value is None or kind is bool or kind is float:
-        out.append(json.dumps(value))
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-def indented_json(value: Any, depth: int = 0) -> str:
-    """``json.dumps(value, ensure_ascii=False, indent=2)``, byte for byte, for
-    values built of exact dicts with string keys, lists, tuples, strings,
-    ints, floats, bools and None; ``depth`` indents it as a value nested that
-    deep. The stdlib's indented path runs its pure-Python generator chain,
-    which re-yields every token once per level of nesting; this writer
-    appends each token once to one list."""
-    out: list[str] = []
-    _write_indented(value, depth, out)
-    return "".join(out)
-
-
 def _check_result(doc: Document, links: tuple[CorefLink, ...] | list,
                   completed: tuple[CompletedEvent, ...] | list) -> None:
     """Reject links or completed events that violate their invariants against
@@ -342,14 +265,18 @@ class _Layout:
     A record of the result's own lists starts with ``sep``, the separator
     that goes before it. As UTF-8, ``top`` holds the literal text around the
     result's own fields, ``close`` the text that ends one of its lists, and
-    ``chains`` and ``trace`` the text before those optional lists, whose
-    items ``generic`` encodes."""
+    ``chains`` and ``trace`` the text before those optional lists."""
 
-    def __init__(self, indent: bool, generic: Callable[[Any], str]) -> None:
+    def __init__(self, indent: bool) -> None:
         colon = ": " if indent else ":"
 
         def pad(depth: int) -> tuple[str, str, str]:
-            return _INDENTS[depth] if indent else ("", ",", "")
+            """Before the first item, between items, and before the closing
+            bracket of a container whose items sit at ``depth``."""
+            if not indent:
+                return "", ",", ""
+            lead = "\n" + "  " * depth
+            return lead, "," + lead, lead[:-2]
 
         def tail(depth: int, *keys: str | None) -> str:
             sep = pad(depth)[1]
@@ -360,7 +287,7 @@ class _Layout:
             return "{" + lead + tail(depth, *keys)[len(sep):] + close + "}"
 
         _, self.sep, close = pad(2)
-        self.generic, self.inner, self.close = generic, pad(4), (close + "]").encode()
+        self.inner, self.close = pad(4), (close + "]").encode()
         self.token, self.token_pos = record(5, "start", "end"), record(5, "start", "end", "pos")
         self.sentence = self.sep + record(3, "index", "start", "end", "tokens")
         self.entity = self.sep + record(3, "id", "start", "end", "label", None, None)
@@ -371,6 +298,14 @@ class _Layout:
         self.polarity, self.arg = tail(3, "polarity"), record(5, "role", "ref")
         self.completed = tail(3, "derived_from", "provenance")
         self.link = self.sep + record(3, "anaphor", "antecedents", "sieve")
+        self.chain_items = pad(3)
+        self.entry = self.sep + record(3, "anaphor", "kind", "surface", "span", "cardinality",
+                                       "attempts", "final")
+        self.attempt, self.attempt_items = record(5, "sieve", "status", None), pad(6)
+        self.considered, self.antecedents = tail(5, "considered"), tail(5, "antecedents")
+        self.verdict = record(7, "id", "verdict")
+        self.final, self.final_items = record(4, "status", None), pad(5)
+        self.linked = tail(4, "sieve", "antecedents")
         self.top = [part.encode() for part in (record(
             1, "doc_id", "text", "sentences", "entities", "events", "links",
             "completed_events") + "\n").split("%s")]
@@ -378,8 +313,8 @@ class _Layout:
                                    for key in ("chains", "trace"))
 
 
-_FILE = _Layout(True, partial(indented_json, depth=2))
-_LINE = _Layout(False, json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode)
+_FILE = _Layout(True)
+_LINE = _Layout(False)
 
 
 def _join(pad: tuple[str, str, str], items: list[str]) -> str:
@@ -393,6 +328,29 @@ def _event(t: _Layout, ev: EventMention | CompletedEvent, tail: str = "") -> str
         enc(ev.id), ev.trigger_start, ev.trigger_end, enc(ev.event_type),
         "" if ev.polarity == "Unspecified" else t.polarity % enc(ev.polarity),
         _join(t.inner, [t.arg % (enc(a.role), enc(a.ref)) for a in ev.args]), tail)
+
+
+def _trace_entry(t: _Layout, entry: dict) -> str:
+    """One trace entry; an attempt's ``considered`` and ``antecedents`` and a
+    linked ``final``'s ``sieve`` and ``antecedents`` are written when present."""
+    enc, items = encode_basestring, t.attempt_items
+    attempts = []
+    for a in entry["attempts"]:
+        extra = ""
+        if "considered" in a:
+            extra = t.considered % _join(items, [t.verdict % (enc(c["id"]), enc(c["verdict"]))
+                                                 for c in a["considered"]])
+        if "antecedents" in a:
+            extra += t.antecedents % _join(items, [enc(x) for x in a["antecedents"]])
+        attempts.append(t.attempt % (enc(a["sieve"]), enc(a["status"]), extra))
+    final = entry["final"]
+    return t.entry % (
+        enc(entry["anaphor"]), enc(entry["kind"]), enc(entry["surface"]),
+        _join(t.inner, [int.__repr__(n) for n in entry["span"]]), enc(entry["cardinality"]),
+        _join(t.inner, attempts),
+        t.final % (enc(final["status"]), t.linked % (
+            enc(final["sieve"]), _join(t.final_items, [enc(x) for x in final["antecedents"]]))
+            if "sieve" in final else ""))
 
 
 def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
@@ -434,9 +392,11 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
             enc(c.derived_from), _join(inner, [enc(p) for p in c.provenance])))
             for c in completed]),
     ]
-    for literal, values in ((t.chains, chains), (t.trace, trace)):
-        if values is not None:
-            lists.append((literal, [sep + t.generic(value) for value in values]))
+    if chains is not None:
+        lists.append((t.chains, [sep + _join(t.chain_items, [enc(m) for m in chain])
+                                 for chain in chains]))
+    if trace is not None:
+        lists.append((t.trace, [_trace_entry(t, entry) for entry in trace]))
     pieces = [top[0], enc(doc.doc_id).encode(), top[1], enc(doc.text).encode()]
     for literal, items in lists:
         if items:

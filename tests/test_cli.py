@@ -250,6 +250,20 @@ def test_inspect_unknown_anaphor(run_dir):
     assert "unknown anaphor" in proc.stderr
 
 
+@pytest.mark.parametrize("content", [
+    b"[]",
+    b'{"trace": [{"anaphor": "T\xff"}]}',
+    b'{"trace": [{"kind": "pronoun"}]}',
+], ids=["not-an-object", "not-utf-8", "entry-without-anaphor"])
+def test_inspect_refuses_a_malformed_result_file(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    proc = run_cli("inspect", str(bad), "T1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("configuration error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_inspect_requires_provenance(tmp_path, corpus_dir):
     out = tmp_path / "noprov"
     run_cli("resolve", "--in", str(corpus_dir / "ex12_foxp3.json"), "--out", str(out))

@@ -40,8 +40,8 @@ from test_properties import check_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MUTANTS = 2000
-GOLDEN = "6ecd3008916b709815fc6dbdd269d1c1bd145e1de98bd69bbc41df6637f63093"
-LOADABLE_GOLDEN = "69c338a142d084ddfb4abe2f34e6c01e6bb7900ecfc8a4e0647d6a875b265a93"
+GOLDEN = "837a06abe5b547f45cda1cfb74eccbdb731add11c582368b1f3a8115e2194aa7"
+LOADABLE_GOLDEN = "0c8871193c20e505d1733505c48ad9dc623df6bbb42dd51ca563a613961f2ae7"
 FULL_MESSAGE = ("SchemaViolation", "MalformedInput")
 SECTIONS = ("sentences", "entities", "events")
 

@@ -25,30 +25,30 @@ GOLDEN = {
     ("fixtures", False):
         "0360a9bc0db88067b534ed8e2084cc57070cf789db7336c0877c59b8c9dd98e5",
     ("fixtures", True):
-        "4a8ea9ec70cb75270adb4ece5b34005257482fbe7a7d52613a5e0990feb3a9af",
+        "ce08025508f3ee94aa807894b9cf38def493d2e0f74f7c4319be34052eaaa8db",
     ("synth", False):
         "df720cea14450f42cea03f7a690a21299dda77ff31c41c98c2c4ac82b6d6361e",
     ("synth", True):
-        "c28a7d3fe524ba4eca8eaa9a95ff9be4d8c8fc432166f007a69ef6d8aed57f27",
+        "687956dfd9e24ec1964d3b2a4cfc9ad862a9df6b2511f30068432d00f9feb476",
     ("long", False):
         "d4357a75d56669a10493dfd811f1c505cd9d6abee01f921c775c32e075a1f793",
     ("long", True):
-        "4b669bac04395f2db29c3431f808817e2c6314944f83d66663e21d60ab901297",
+        "de112de453c2c7f663741eecf8fd7ac72781009ab189ed4b19ba037a422127fa",
 }
 
 GOLDEN_LINE = {
     ("fixtures", False):
         "4c3fca7fb8ed8af94e101981a21471f43b30fda5e7dbf1f71c86250a12902b55",
     ("fixtures", True):
-        "0550129a2d52790f541faf7867b0f5b49283a521da1ecb450b8f03bdf4c4ea66",
+        "c3ff8664106c46c36e5f427fe431858404d5eaaa3892f8c08349860831800844",
     ("synth", False):
         "b4b5243d33f345fd035aa5e900aff3288a87173805d00e518732fed1cc6e9ee7",
     ("synth", True):
-        "e454ce71e8291c3450fda3e8d16229de9a4ff886fd84f544a102f87541c34b3c",
+        "ea55b6b2f47305426c6d0025746288e502e528d9f73dea830b6689bef28aa066",
     ("long", False):
         "a722b6aef24adb8576e5471b2d4c77d633b5ebf4aca3c8b55850040be5f2970d",
     ("long", True):
-        "a3b05d52c29c02e20b77acf24ee8d2a2738ee2fe95df981bf1d98b1ed414c234",
+        "592e0c1c2a65d06fbebb9b22bc99a94b363df2ebb55d13969a812c009d6b8539",
 }
 
 

@@ -203,7 +203,8 @@ def test_strict_head_rejects_ikb_kinase(corpus):
 
 def _scan_strict_head(ctx, state):
     """Reference strict_head: a nearest-first scan over every earlier entity,
-    re-tokenizing each one, for every class NP."""
+    re-tokenizing each one, for every class NP. Only the entities holding the
+    head word are recorded; anaphors, never antecedents, hold no words here."""
     for cand in ctx.candidates:
         if cand.kind != det.CLASS_NP:
             continue
@@ -220,14 +221,17 @@ def _scan_strict_head(ctx, state):
         cons = build_constraints(ctx.index, cand, ctx.schema, banned=ctx.candidate_ids)
         considered = [] if ctx.trace is not None else None
         linked = False
-        pool = [e for e in ctx.index.entities if e.start < cand.start]
+        pool = [e for e in ctx.index.entities
+                if e.start < cand.start and e.id not in ctx.candidate_ids]
         for ent in sorted(pool, key=lambda e: (-e.start, e.id)):
-            verdict = verdict_for(ent, cand, cons, state.uf, [])
-            if verdict == ACCEPTED:
-                ant_words = [w.lower() for w in
-                             sieves._np_words(ctx, ent.start, ent.end, ent.surface)]
-                if head not in ant_words or not all(w in ant_words for w in content):
-                    verdict = "excluded_word_containment"
+            ant_words = [w.lower() for w in
+                         sieves._np_words(ctx, ent.start, ent.end, ent.surface)]
+            if head not in ant_words:
+                continue
+            if all(w in ant_words for w in content):
+                verdict = verdict_for(ent, cand, cons, state.uf, [])
+            else:
+                verdict = "excluded_word_containment"
             if considered is not None:
                 considered.append({"id": ent.id, "verdict": verdict})
             if verdict == ACCEPTED:
@@ -400,6 +404,19 @@ def test_indefinite_kinase_never_resolves(corpus):
 def test_event_coref_links_nominal_binding(corpus):
     res = _resolve(corpus["ex18_ll37_igf1r"])
     assert _links(res) == [("E2", ("E1",), "event_coref")]
+
+
+def test_incomplete_event_of_the_right_type_is_excluded_as_incomplete(corpus):
+    # Without its theme2, ex18_ll37_igf1r's Binding E1 is of E2's type but not
+    # complete, which is not a class mismatch.
+    raw = json.loads(json.dumps(corpus["ex18_ll37_igf1r"]))
+    e1 = next(ev for ev in raw["events"] if ev["id"] == "E1")
+    e1["args"] = [a for a in e1["args"] if a["role"] != "theme2"]
+    res = _resolve(raw, trace=True)
+    entry = next(t for t in res.trace if t["anaphor"] == "E2")
+    attempt = next(a for a in entry["attempts"] if a["sieve"] == "event_coref")
+    assert attempt["status"] == "no_match"
+    assert attempt["considered"] == [{"id": "E1", "verdict": "excluded_incomplete"}]
 
 
 def test_regulation_anaphor_is_never_searched(corpus):

@@ -18,8 +18,7 @@ from biocoref.model import (
     Sentence,
     Token,
 )
-from biocoref.standoff import (document_from_dict, indented_json, load_document, load_result,
-                               save_result)
+from biocoref.standoff import document_from_dict, load_document, load_result, save_result
 
 from conftest import load_fixture
 from synth import synth_corpus, synth_doc
@@ -199,36 +198,8 @@ def test_unicode_offsets_count_characters(corpus):
 
 # Characters that exercise every branch of JSON string escaping: quotes,
 # backslashes, control characters, the line separators JSON leaves alone,
-# non-ASCII letters, an astral character and a lone surrogate.
-_CHARS = 'aZ09 "\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u03b2\u2028\u2029\U0001f9ec\ud800'
-_SCALARS = [None, True, False, 0, -1, 2**70, -(2**64), 0.0, -0.0, 1.5, 1e300, 2.5e-8,
-            float("nan"), float("inf"), float("-inf"), ""]
-
-
-def _random_json(rng, depth):
-    roll = rng.random()
-    if depth >= 5 or roll < 0.45:
-        if rng.random() < 0.5:
-            return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
-        return rng.choice(_SCALARS + [rng.randrange(-10**6, 10**6)])
-    items = [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
-    if roll < 0.7:
-        keys = ("".join(rng.choice(_CHARS) for _ in range(rng.randrange(4))) for _ in items)
-        return dict(zip(keys, items))
-    return tuple(items) if roll < 0.8 else items
-
-
-def test_indented_writer_matches_stdlib_on_random_trees():
-    rng = random.Random(6)
-    for _ in range(20_000):
-        value = _random_json(rng, 0)
-        assert indented_json(value) == json.dumps(value, ensure_ascii=False, indent=2), value
-
-
-@pytest.mark.parametrize("value", [{"a": {1, 2}}, [b"bytes"], {"k": [object()]}])
-def test_indented_writer_rejects_values_json_cannot_encode(value):
-    with pytest.raises(TypeError):
-        indented_json(value)
+# non-ASCII letters and an astral character.
+_TEXT = 'aZ09 "\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u03b2\u2028\u2029\U0001f9ec'
 
 
 # --- reference writer ------------------------------------------------------
@@ -292,7 +263,6 @@ def _reference_bytes(doc, links, completed, chains, trace, line):
     return (json.dumps(out, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
 
 
-_TEXT = _CHARS.replace("\ud800", "")  # UTF-8 cannot encode a lone surrogate
 _INTS = [0, 1, 7, -3, 2**70, -(2**64)]
 
 
@@ -302,6 +272,29 @@ def _text(rng, most=6):
 
 def _maybe(rng, value):
     return value if rng.random() < 0.5 else None
+
+
+def _random_entry(rng, ints):
+    """A trace entry of the fixed shape, each optional field present or absent
+    at random and each list possibly empty."""
+    def strs():
+        return [_text(rng) for _ in range(rng.randrange(3))]
+
+    attempts = []
+    for _ in range(rng.randrange(4)):
+        attempt = {"sieve": _text(rng), "status": _text(rng)}
+        if rng.random() < 0.5:
+            attempt["considered"] = [{"id": _text(rng), "verdict": _text(rng)}
+                                     for _ in range(rng.randrange(3))]
+        if rng.random() < 0.5:
+            attempt["antecedents"] = strs()
+        attempts.append(attempt)
+    final = {"status": _text(rng)}
+    if rng.random() < 0.5:
+        final.update(sieve=_text(rng), antecedents=strs())
+    return {"anaphor": _text(rng), "kind": _text(rng), "surface": _text(rng),
+            "span": [ints(), ints()], "cardinality": _text(rng), "attempts": attempts,
+            "final": final}
 
 
 def _random_result(rng):
@@ -350,10 +343,7 @@ def _random_result(rng):
             rng.choice(list(start_of)), tuple(_text(rng) for _ in range(rng.choice([0, 1, 2])))))
     doc = Document(_text(rng, 8), _text(rng, 20), sentences, entities, events)
     chains = [rng.sample(list(start_of), min(2, len(start_of))) for _ in range(rng.randrange(3))]
-    trace = [{"anaphor": _text(rng), "span": [ints(), ints()], "final": {"status": _text(rng)},
-              "attempts": [{"sieve": _text(rng), "considered": [], "ok": rng.random() < 0.5,
-                            "antecedents": None}]}
-             for _ in range(rng.randrange(3))]
+    trace = [_random_entry(rng, ints) for _ in range(rng.randrange(3))]
     return doc, links, completed, chains, trace
 
 
@@ -369,6 +359,28 @@ def test_writer_matches_reference_on_random_results(provenance, line):
         assert save_result(doc, links, completed, chains, trace, line=line) == expected
 
 
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", object()], ids=["set", "bytes", "object"])
+def test_writer_rejects_values_json_cannot_encode(value):
+    doc = load_document(b'{"doc_id":"d0","text":"","sentences":[],"entities":[],"events":[]}')
+    entry = {"anaphor": "T2", "kind": "pronoun", "surface": "it", "span": [4, 6],
+             "cardinality": "Singular", "final": {"status": "LINKED", "sieve": "pronominal",
+                                                  "antecedents": ["T1"]},
+             "attempts": [{"sieve": "pronominal", "status": "linked",
+                           "considered": [{"id": "T1", "verdict": "accepted"}],
+                           "antecedents": ["T1"]}]}
+    slots = [(entry, "anaphor"), (entry["span"], 1), (entry["final"]["antecedents"], 0),
+             (entry["attempts"][0], "status"), (entry["attempts"][0]["considered"][0], "id")]
+    for line in (False, True):
+        save_result(doc, chains=[["T1", "T2"]], trace=[entry], line=line)
+        with pytest.raises(TypeError):
+            save_result(doc, chains=[["T1", value]], line=line)
+        for record, key in slots:
+            good, record[key] = record[key], value
+            with pytest.raises(TypeError):
+                save_result(doc, trace=[entry], line=line)
+            record[key] = good
+
+
 @pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
 @pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
 def test_writer_matches_reference_on_corpora(corpus, provenance, line):
@@ -379,6 +391,20 @@ def test_writer_matches_reference_on_corpora(corpus, provenance, line):
                                     res.chains if provenance else None,
                                     res.trace if provenance else None, line)
         assert res.to_bytes(emit_provenance=provenance, line=line) == expected, raw["doc_id"]
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_traced_output_grows_at_most_2_2_times_per_doubling(seed):
+    # The trace lists, per search, only the mentions the sieve walks, so it
+    # grows with the document as the plain result does.
+    config = resolver.ResolverConfig.default(trace=True)
+    sizes = []
+    for sentences in (200, 400, 800):
+        raw = synth_doc(random.Random(seed), 0, sentences=sentences)
+        res = resolver.resolve_document(document_from_dict(raw, config.schema), config)
+        sizes.append(len(res.to_bytes(emit_provenance=True)))
+    growth = [larger / smaller for smaller, larger in zip(sizes, sizes[1:])]
+    assert max(growth) <= 2.2, growth
 
 
 @pytest.fixture(scope="module")

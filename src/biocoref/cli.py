@@ -8,11 +8,17 @@ Subcommands:
 
 Exit codes: 0 success, 1 one or more documents failed, 2 configuration error.
 Per-run summaries go to stderr as JSON so stdout stays scriptable. ``resolve``
-is one loop on the main thread: it reads the inputs in order, hands their
+is one loop on the main thread: it reads the inputs in order and hands their
 documents, each line of an NDJSON stream among them, out to its worker
-processes in tasks, and writes each task's results, in input order, once they
-are back. With at most two tasks per worker out at a time, the main process
-holds a bounded window of documents, not whole files.
+processes in tasks. For each single-document file it first creates the empty
+``<out>/.<stem>.json.part`` that the worker writes the result into; a stream
+line's result comes back as bytes, which the main process writes to the
+stream's part. Once a task's results are back, it moves each complete part
+onto ``<out>/<stem>.json``, in input order. With at most two tasks per worker
+out at a time, the main process holds a bounded window of documents, not
+whole files, and no single document's result. A ``--strict`` stop waits for
+the tasks still out; then, as after any stop, every part created and not
+moved is unlinked.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import os
 import re
 import sys
 from collections import deque
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
@@ -66,26 +72,37 @@ def _worker_init(args: argparse.Namespace) -> None:
     _WORKER_CONFIG["config"] = _build_config(args)
 
 
-def _resolve_text(text: bytes | str, line: bool, config: ResolverConfig
-                  ) -> tuple[bytes | None, dict | None, str | None]:
-    """``(output, counters, None)`` for one document's text, or ``(None, None,
-    error)`` when it cannot be resolved, whatever the cause. ``line`` selects
-    the compact NDJSON line of a stream document over the indented result
-    file."""
-    try:
-        resolution = resolve_document(load_document(text, schema=config.schema), config)
-        return (resolution.to_bytes(emit_provenance=config.trace, line=line),
-                resolution.counters, None)
-    except Exception as exc:  # contained here: one document never aborts the batch
-        return None, None, f"{type(exc).__name__}: {exc}"
-
-
-def _resolve_task(task: list[tuple[bytes | str, bool]], config: ResolverConfig | None = None
-                  ) -> list:
-    """``_resolve_text`` over one task's ``(text, line)`` documents. ``config``
-    defaults to the one a pool worker built at start-up."""
+def _resolve_task(task: list[tuple[bytes | str, str | None]],
+                  config: ResolverConfig | None = None) -> list:
+    """``(output, counters, None)`` for each ``(text, part)`` document of one
+    task, in order, or ``(None, None, error)`` for one that cannot be
+    resolved, whatever the cause. A single document's ``part`` is the path of
+    the empty file the main process created for it: its indented result is
+    written into it and ``output`` is None. A stream line has no part:
+    ``output`` is its compact NDJSON line. Each document is taken out of
+    ``task`` as it is resolved, so its text is dropped once it is loaded.
+    ``config`` defaults to the one a pool worker built at start-up."""
     config = config or _WORKER_CONFIG["config"]
-    return [_resolve_text(text, line, config) for text, line in task]
+    results = []
+    for i in range(len(task)):
+        text, part = task[i]
+        task[i] = None
+        try:
+            doc = load_document(text, schema=config.schema)
+            del text
+            resolution = resolve_document(doc, config)
+            del doc
+            if part is None:
+                results.append((resolution.to_bytes(emit_provenance=config.trace, line=True),
+                                resolution.counters, None))
+                continue
+            # "r+b" opens the file only if it exists: a worker never creates one.
+            with open(part, "r+b") as file:
+                resolution.to_bytes(emit_provenance=config.trace, file=file)
+            results.append((None, resolution.counters, None))
+        except Exception as exc:  # contained here: one document never aborts the batch
+            results.append((None, None, f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 def _lines(file: BinaryIO, size: int) -> Iterator[str]:
@@ -205,19 +222,27 @@ def _task_size(documents: int, jobs: int) -> int:
     return math.ceil(documents / (4 * jobs))
 
 
-def _tasks(paths: list[str], jobs: int) -> Iterator[tuple[list, list]]:
+def _part(out_dir: str, name: str) -> str:
+    """Where the output file ``name`` is written until it is complete."""
+    return os.path.join(out_dir, f".{name}.part")
+
+
+def _tasks(paths: list[str], jobs: int, out_dir: str, out_names: dict[str, str],
+           created: set[str]) -> Iterator[tuple[list, list]]:
     """Read the input files in order and yield their documents, in order, as
-    ``(task, where)``: ``task`` holds ``(text, is a stream line)`` for at
-    most _WINDOW stream lines, or the share ``_task_size`` gives of
-    single-document files if that is fewer. ``where`` places them, in input
+    ``(task, where)``: ``task`` holds ``(text, part)`` for at most _WINDOW
+    stream lines, or the share ``_task_size`` gives of single-document files
+    if that is fewer. A single document's ``part`` is its output's part in
+    ``out_dir``, created empty here and added to ``created`` before it is
+    handed out; a stream line's is None. ``where`` places them, in input
     order: ``(input, line, False, None)`` for each document, ``input`` being
     its file's index in ``paths``, and ``(input, None, True, error)`` after a
-    file's documents, ``error`` being its read error or None. A file's end
-    goes in the ``where`` of the last document read before it, or of the
-    first task if there is none; when no file has a document, that task is
-    empty. A stream that fails part way has handed out its first documents
-    already."""
-    task: list[tuple[bytes | str, bool]] = []
+    file's documents, ``error`` being the error that reading the file or
+    creating its part raised, or None. A file's end goes in the ``where`` of
+    the last document read before it, or of the first task if there is none;
+    when no file has a document, that task is empty. A stream that fails part
+    way has handed out its first documents already."""
+    task: list[tuple[bytes | str, str | None]] = []
     where: list[tuple[int, int | None, bool, str | None]] = []
     singles = min(_WINDOW, _task_size(len(paths), jobs))
     for index, path in enumerate(paths):
@@ -230,7 +255,12 @@ def _tasks(paths: list[str], jobs: int) -> Iterator[tuple[list, list]]:
                     if len(task) >= size:
                         yield task, where
                         task, where = [], []
-                    task.append((doc, stream))
+                    part = None
+                    if not stream:
+                        part = _part(out_dir, out_names[path])
+                        open(part, "wb").close()
+                        created.add(part)
+                    task.append((doc, part))
                     where.append((index, line, False, None))
         except (OSError, UnicodeDecodeError) as exc:
             error = f"{type(exc).__name__}: {exc}"
@@ -271,15 +301,19 @@ def _fold(totals: dict, counters: dict) -> None:
 
 
 class _Output:
-    """One input's result file. Its documents' results are written, as they
-    arrive, to ``.<name>.part`` beside it, which is moved onto the file only
-    when the input ends without a failure. ``docs`` and ``totals`` count the
-    input's own documents until then."""
+    """One input's result file. Its results go to ``part``, ``.<name>.part``
+    beside it, which is moved onto the file only when the input ends without
+    a failure. A single document's part was created by ``_tasks`` and written
+    by whoever resolved it; a stream's is created here at its first result
+    and written as its lines' results arrive. ``created`` holds the parts the
+    main process created and has neither moved nor unlinked. ``docs`` and
+    ``totals`` count the input's own documents until then."""
 
-    def __init__(self, path: str, out_dir: str, name: str) -> None:
+    def __init__(self, path: str, out_dir: str, name: str, created: set[str]) -> None:
         self.path = path
         self.target = os.path.join(out_dir, name)
-        self.part = os.path.join(out_dir, f".{name}.part")
+        self.part = _part(out_dir, name)
+        self.created = created
         self.file: BinaryIO | None = None
         self.failure: dict | None = None
         self.docs = 0
@@ -290,14 +324,17 @@ class _Output:
             return
         out, counters, error = result
         if error is not None:
-            self.failure = {"file": self.path, "error": error}
-            if line is not None:
-                self.failure["line"] = line
-            self.discard()
+            self.fail(error, line)
             return
-        if self.file is None:
-            self.file = open(self.part, "wb")
-        self.file.write(out)
+        if out is not None:
+            if self.file is None:
+                try:
+                    self.file = open(self.part, "wb")
+                except OSError as exc:  # the input fails as if it could not be read
+                    self.fail(f"{type(exc).__name__}: {exc}")
+                    return
+                self.created.add(self.part)
+            self.file.write(out)
         self.docs += 1
         _fold(self.totals, counters)
 
@@ -305,23 +342,34 @@ class _Output:
         """Move a complete result file into place; a failed input has none.
         A read error outranks any failing document of the input."""
         if read_error is not None:
-            self.failure = {"file": self.path, "error": read_error}
-            self.discard()
+            self.fail(read_error)
         if self.failure is None:
-            self.file.close()
-            self.file = None
+            if self.file is not None:
+                self.file.close()
+                self.file = None
             os.replace(self.part, self.target)
+            self.created.discard(self.part)
+
+    def fail(self, error: str, line: int | None = None) -> None:
+        self.failure = {"file": self.path, "error": error}
+        if line is not None:
+            self.failure["line"] = line
+        self.discard()
 
     def discard(self) -> None:
+        """Close the part and unlink it if this run created it. The results
+        of the input's documents are in by then, so no worker writes it."""
         if self.file is not None:
             self.file.close()
             self.file = None
+        if self.part in self.created:
+            self.created.remove(self.part)
             with suppress(FileNotFoundError):
                 os.unlink(self.part)
 
 
 def _outputs(collated: Iterable[tuple[tuple, tuple | None]], paths: list[str],
-             out_names: dict[str, str], out_dir: str) -> Iterator[_Output]:
+             out_names: dict[str, str], out_dir: str, created: set[str]) -> Iterator[_Output]:
     """Write each input's results as ``_run`` hands them out, and yield
     each input's ``_Output`` once its end has been handed out. An output left
     unfinished when an exception or ``close`` stops the generator is
@@ -331,7 +379,7 @@ def _outputs(collated: Iterable[tuple[tuple, tuple | None]], paths: list[str],
         for (index, line, end, read_error), result in collated:
             if output is None:
                 path = paths[index]
-                output = _Output(path, out_dir, out_names[path])
+                output = _Output(path, out_dir, out_names[path], created)
             if not end:
                 output.add(line, result)
                 del result  # written: not held while the next one is awaited
@@ -342,6 +390,32 @@ def _outputs(collated: Iterable[tuple[tuple, tuple | None]], paths: list[str],
     finally:
         if output is not None:
             output.discard()
+
+
+@contextmanager
+def _pool(args: argparse.Namespace) -> Iterator:
+    """A pool of ``args.jobs`` forked workers. On a normal exit, such as a
+    ``--strict`` stop, it takes no more tasks and waits for those in flight;
+    on an exception it stops its workers at once."""
+    # Imported here, so a run that starts no pool does not pay for it.
+    # Forked workers start without a fresh interpreter and import; the pool
+    # forks them before it starts its own threads.
+    import multiprocessing
+    pool = multiprocessing.get_context("fork").Pool(args.jobs, initializer=_worker_init,
+                                                    initargs=(args,))
+    try:
+        yield pool
+    except BaseException:
+        pool.terminate()
+        raise
+    pool.close()
+    pool.join()
+
+
+def _unlink(parts: set[str]) -> None:
+    for part in parts:
+        with suppress(FileNotFoundError):
+            os.unlink(part)
 
 
 def cmd_resolve(args) -> int:
@@ -371,24 +445,22 @@ def cmd_resolve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summary: dict = {"docs": 0, "failed": [], **_totals()}
+    created: set[str] = set()
     with ExitStack() as stack:
         # Exits run in reverse: the unfinished output is discarded, the pool
-        # stops, and the input file that the task generator holds open is
-        # closed.
-        tasks = _tasks(paths, args.jobs)
+        # stops, the input file that the task generator holds open is closed,
+        # and, with no worker left to write one, every part created and not
+        # moved into place is unlinked.
+        stack.callback(_unlink, created)
+        tasks = _tasks(paths, args.jobs, str(out_dir), out_names, created)
         stack.callback(tasks.close)
         if args.jobs > 1 and paths:
-            # Imported here, so a run that starts no pool does not pay for it.
-            # Forked workers start without a fresh interpreter and import; the
-            # pool forks them before it starts its own threads.
-            import multiprocessing
-            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
-                args.jobs, initializer=_worker_init, initargs=(args,)))
+            pool = stack.enter_context(_pool(args))
             collated = _run(tasks, lambda task: pool.apply_async(_resolve_task, (task,)).get,
                             _TASKS_PER_JOB * args.jobs)
         else:
             collated = _run(tasks, lambda task: partial(_resolve_task, task, config), 1)
-        outputs = _outputs(collated, paths, out_names, str(out_dir))
+        outputs = _outputs(collated, paths, out_names, str(out_dir), created)
         stack.callback(outputs.close)
         for output in outputs:
             if output.failure is not None:

@@ -6,7 +6,7 @@ scaling across a corpus is process-level parallelism with no shared state.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import BinaryIO, Callable, NamedTuple
 
 from .completion import complete_events
 from .detection import AnaphorCandidate, TriggerDictionary, default_lexicon, detect_candidates
@@ -59,7 +59,9 @@ class Resolution:
         self.counters = counters
         self.trace = trace
 
-    def to_bytes(self, emit_provenance: bool = False, line: bool = False) -> bytes:
+    def to_bytes(self, emit_provenance: bool = False, line: bool = False,
+                 file: BinaryIO | None = None) -> bytes | None:
+        """The result's bytes, or with ``file`` None once they are written to it."""
         return save_result(
             self.doc,
             links=tuple(self.links),
@@ -67,6 +69,7 @@ class Resolution:
             chains=self.chains if emit_provenance else None,
             trace=self.trace if emit_provenance else None,
             line=line,
+            file=file,
         )
 
 

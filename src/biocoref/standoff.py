@@ -18,15 +18,16 @@ one writer: it formats the model straight into one table of ``%``-templates
 per layout, one template per record shape, the provenance ``chains`` and
 ``trace`` included, so no generic JSON encoder is involved. It encodes
 the text and each record by itself, so that no string of the whole result is
-built: encoding a result takes about two to three times its size on top of
-the model, whatever characters its text holds.
+built: returning a result's bytes takes about two to three times its size on
+top of the model, whatever characters its text holds, and writing them to a
+file as they are encoded takes less than twice.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
-from typing import Any
+from typing import Any, BinaryIO
 
 from .model import (
     CompletedEvent,
@@ -356,17 +357,21 @@ def _trace_entry(t: _Layout, entry: dict) -> str:
 def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
                 completed: tuple[CompletedEvent, ...] | list = (),
                 chains: list[list[str]] | None = None,
-                trace: list | None = None, line: bool = False) -> bytes:
+                trace: list | None = None, line: bool = False,
+                file: BinaryIO | None = None) -> bytes | None:
     """Serialize a resolved document; rejects links or events that violate
     their invariants against ``doc``. Output is deterministic byte-for-byte:
     an indented result file, or with ``line`` one compact NDJSON line.
 
     No string of the whole result is built. The text and each record of the
-    result's lists are encoded to UTF-8 by themselves, each list's strings
-    are dropped once they are encoded, and the pieces are joined once. So a
-    non-ASCII character, which makes a ``str`` take two or four bytes per
-    character, widens only its own piece, and the transient stays near two
-    to three times the result.
+    result's lists are encoded to UTF-8 by themselves, and each list's
+    strings are dropped once they are encoded. So a non-ASCII character,
+    which makes a ``str`` take two or four bytes per character, widens only
+    its own piece. Without ``file`` the pieces are joined once and returned,
+    and the transient stays near two to three times the result. With
+    ``file``, a binary file open for writing, each piece is written to it as
+    soon as it is encoded and nothing is returned, so no copy of the whole
+    result is built.
     """
     _check_result(doc, links, completed)
     t = _LINE if line else _FILE
@@ -397,18 +402,20 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
                                  for chain in chains]))
     if trace is not None:
         lists.append((t.trace, [_trace_entry(t, entry) for entry in trace]))
-    pieces = [top[0], enc(doc.doc_id).encode(), top[1], enc(doc.text).encode()]
+    pieces: list[bytes] = []
+    put = pieces.extend if file is None else file.writelines
+    put((top[0], enc(doc.doc_id).encode(), top[1], enc(doc.text).encode()))
     for literal, items in lists:
         if items:
             items[0] = items[0][1:]  # the first item has no "," before it
-            pieces += (literal, b"[")
-            pieces += map(str.encode, items)
-            pieces.append(t.close)
+            put((literal, b"["))
+            put(map(str.encode, items))
+            put((t.close,))
             items.clear()  # encoded: its strings are not held while the rest is
         else:
-            pieces += (literal, b"[]")
-    pieces.append(top[7])
-    return b"".join(pieces)
+            put((literal, b"[]"))
+    put((top[7],))
+    return b"".join(pieces) if file is None else None
 
 
 def load_result(data: bytes | str, schema: ArgSchema | None = None

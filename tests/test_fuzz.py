@@ -13,8 +13,9 @@ Two families of mutants, each a fixture with one to three random edits:
   both the result file and the stream line of each.
 
 Every mutant goes through the CLI's per-document boundary with provenance
-on; no exception may escape it. Every mutant that loads must also keep the
-README guarantees that ``test_properties`` checks. Deleted event arguments
+on; no exception may escape it. A result file is written into a part file,
+as a worker writes it, and read back. Every mutant that loads must also keep
+the README guarantees that ``test_properties`` checks. Deleted event arguments
 change which events are complete, so the digests pin the completeness rule
 too.
 
@@ -31,7 +32,7 @@ import json
 import random
 from pathlib import Path
 
-from biocoref.cli import _resolve_text
+from biocoref.cli import _resolve_task
 from biocoref.resolver import ResolverConfig
 from biocoref.schema import default_schema
 from biocoref.standoff import load_document
@@ -44,6 +45,17 @@ GOLDEN = "837a06abe5b547f45cda1cfb74eccbdb731add11c582368b1f3a8115e2194aa7"
 LOADABLE_GOLDEN = "0c8871193c20e505d1733505c48ad9dc623df6bbb42dd51ca563a613961f2ae7"
 FULL_MESSAGE = ("SchemaViolation", "MalformedInput")
 SECTIONS = ("sentences", "entities", "events")
+
+
+def _resolve(text, config, part=None):
+    """``(output, error)`` from the CLI's per-document boundary: the compact
+    stream line, or with ``part`` the result file written into it."""
+    if part is not None:
+        part.write_bytes(b"")
+    [(output, _counters, error)] = _resolve_task([(text, part and str(part))], config)
+    if part is not None and error is None:
+        output = part.read_bytes()
+    return output, error
 
 
 def _copy(value):
@@ -130,7 +142,7 @@ def _mutate_loadable(rng, raw, schema):
     return doc
 
 
-def test_fixture_mutants_never_escape_and_match_golden_digest():
+def test_fixture_mutants_never_escape_and_match_golden_digest(tmp_path):
     config = ResolverConfig.default(trace=True)
     bases = [json.loads(p.read_bytes()) for p in sorted(FIXTURES.glob("ex*.json"))]
     assert len(bases) == 22
@@ -138,7 +150,7 @@ def test_fixture_mutants_never_escape_and_match_golden_digest():
     h = hashlib.sha256()
     for _ in range(MUTANTS):
         text = json.dumps(_mutate(rng, rng.choice(bases)), ensure_ascii=False)
-        output, _counters, error = _resolve_text(text, False, config)
+        output, error = _resolve(text, config, tmp_path / ".result.json.part")
         if error is None:
             h.update(output)
             check_document(load_document(text, schema=config.schema), config)
@@ -149,7 +161,7 @@ def test_fixture_mutants_never_escape_and_match_golden_digest():
     assert h.hexdigest() == GOLDEN
 
 
-def test_loadable_mutants_keep_guarantees_and_match_golden_digest():
+def test_loadable_mutants_keep_guarantees_and_match_golden_digest(tmp_path):
     config = ResolverConfig.default(trace=True)
     schema = default_schema()
     bases = [json.loads(p.read_bytes()) for p in sorted(FIXTURES.glob("ex*.json"))]
@@ -157,8 +169,8 @@ def test_loadable_mutants_keep_guarantees_and_match_golden_digest():
     h = hashlib.sha256()
     for _ in range(MUTANTS):
         text = json.dumps(_mutate_loadable(rng, rng.choice(bases), schema), ensure_ascii=False)
-        for line in (False, True):
-            output, _counters, error = _resolve_text(text, line, config)
+        for part in (tmp_path / ".result.json.part", None):  # the file, then the line
+            output, error = _resolve(text, config, part)
             assert error is None, error
             h.update(output)
             h.update(b"\0")

@@ -8,12 +8,16 @@ import random
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from biocoref import cli
+from biocoref.resolver import resolve_document
+from biocoref.standoff import load_document
 
 CLI = [sys.executable, "-m", "biocoref.cli"]
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
               "\u2028", "\u2029"]
 WORDS = ["a", "{}", "\u03b2", "\U0001f9ec", "  ", '"q"', "e\u0301"]
@@ -146,6 +150,22 @@ def test_a_stream_is_read_as_its_documents_are_taken(monkeypatch):
     assert file.tell() <= 512 < len(data)
 
 
+def test_a_single_document_is_written_into_its_part_and_not_returned(tmp_path, config):
+    text = (FIXTURES / "ex12_foxp3.json").read_bytes()
+    want = resolve_document(load_document(text), config)
+    part = tmp_path / ".ex12_foxp3.json.part"
+    part.write_bytes(b"")
+    missing = tmp_path / ".missing.json.part"
+    task = [(text, str(part)), (text, None), (text, str(missing))]
+    (out, counters, error), stream_line, (_, _, missed) = cli._resolve_task(task, config)
+    assert task == [None] * 3  # each text is taken out of the task
+    assert out is None and error is None and counters == want.counters
+    assert part.read_bytes() == want.to_bytes()
+    assert stream_line == (want.to_bytes(line=True), want.counters, None)
+    # A worker opens the part the main process created; it never creates one.
+    assert missed.startswith("FileNotFoundError: ") and not missing.exists()
+
+
 LAUNCHER = """
 import os, subprocess, sys
 proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -240,6 +260,8 @@ def test_interrupt_leaves_no_part_file(tmp_path, monkeypatch):
 INTERRUPTED = """
 import sys
 from biocoref import cli
+from biocoref.resolver import resolve_document
+from biocoref.standoff import load_document
 fold, calls = cli._fold, []
 
 def interrupted(totals, counters):
@@ -299,3 +321,52 @@ def test_undecodable_line_fails_only_its_stream(tmp_path, jobs):
                                   "error": f"UnicodeDecodeError: {whole.value}"}]
     assert summary["docs"] == 2
     assert sorted(p.name for p in out.iterdir()) == ["a_ok.json", "c_ok.json"]
+
+
+@pytest.mark.parametrize("strict", [[], ["--strict"]])
+def test_failing_single_document_leaves_no_part_file(tmp_path, strict):
+    # 41 files make tasks of 6 at --jobs 2, so the parts of four tasks are
+    # created while the failing third file's task is still out.
+    names = [f"f{i:02}" for i in range(41)]
+    for name in names:
+        (tmp_path / f"{name}.json").write_text(json.dumps(minimal(name)))
+    (tmp_path / "f02.json").write_text('{"doc_id": "broken"}')
+    out = tmp_path / "out"
+    proc = subprocess.run(CLI + ["resolve", "--in", str(tmp_path / "*.json"), "--out", str(out),
+                                 "--jobs", "2", *strict], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert summary_of(proc.stderr)["failed"] == [{
+        "file": str(tmp_path / "f02.json"),
+        "error": "SchemaViolation: broken: missing field 'text'"}]
+    written = names[:2] if strict else names[:2] + names[3:]
+    assert sorted(p.name for p in out.iterdir()) == [f"{name}.json" for name in written]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_part_that_cannot_be_created_fails_only_its_input(tmp_path, jobs):
+    # A single document's part is created when it is handed out, a stream's
+    # when its first result is in.
+    (tmp_path / "a_ok.json").write_text(json.dumps(minimal("a")))
+    (tmp_path / "b_blocked.json").write_text(json.dumps(minimal("b")))
+    (tmp_path / "c_stream.ndjson").write_bytes(ndjson([minimal("c0"), minimal("c1")]))
+    (tmp_path / "d_ok.json").write_text(json.dumps(minimal("d")))
+    out = tmp_path / "out"
+    blocked = [out / f".{name}.json.part" for name in ("b_blocked", "c_stream")]
+    errors = []
+    for part in blocked:
+        part.mkdir(parents=True)
+        with pytest.raises(OSError) as exc:
+            open(part, "wb")
+        errors.append(f"{type(exc.value).__name__}: {exc.value}")
+    proc = subprocess.run(CLI + ["resolve", "--in", str(tmp_path / "*_*"), "--out", str(out),
+                                 "--jobs", jobs], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    summary = summary_of(proc.stderr)
+    assert summary["failed"] == [
+        {"file": str(tmp_path / name), "error": error}
+        for name, error in zip(("b_blocked.json", "c_stream.ndjson"), errors)]
+    assert summary["docs"] == 2
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["a_ok.json", "d_ok.json"] + [part.name for part in blocked])
+    assert all(part.is_dir() for part in blocked)

@@ -1,10 +1,11 @@
+import io
 import json
 import random
 import tracemalloc
 
 import pytest
 
-from biocoref import resolver
+from biocoref import fixtures, resolver
 from biocoref.model import (
     CompletedEvent,
     CorefLink,
@@ -393,6 +394,25 @@ def test_writer_matches_reference_on_corpora(corpus, provenance, line):
         assert res.to_bytes(emit_provenance=provenance, line=line) == expected, raw["doc_id"]
 
 
+def test_writing_to_a_file_writes_the_bytes_it_returns():
+    # The golden corpora of tests/test_golden.py, in both layouts, with and
+    # without provenance.
+    rng = random.Random(5)
+    docs = (list(fixtures.corpus_documents().values()) + synth_corpus(23, 400)
+            + [synth_doc(rng, i, sentences=n) for i, n in enumerate((150, 300))])
+    config = resolver.ResolverConfig.default(trace=True)
+    for raw in docs:
+        res = resolver.resolve_document(document_from_dict(raw, config.schema), config)
+        for provenance in (False, True):
+            chains, trace = (res.chains, res.trace) if provenance else (None, None)
+            for line in (False, True):
+                file = io.BytesIO()
+                assert save_result(res.doc, res.links, res.completed, chains, trace, line,
+                                   file=file) is None
+                assert file.getvalue() == save_result(res.doc, res.links, res.completed,
+                                                      chains, trace, line), raw["doc_id"]
+
+
 @pytest.mark.parametrize("seed", [3, 5])
 def test_traced_output_grows_at_most_2_2_times_per_doubling(seed):
     # The trace lists, per search, only the mentions the sieve walks, so it
@@ -431,3 +451,23 @@ def test_encoding_a_long_result_allocates_at_most_3_5_times_its_size(long_resolu
         tracemalloc.stop()
     assert "\u03b2".encode("utf-8") in out
     assert peak - before <= 3.5 * len(out), (peak - before) / len(out)
+
+
+@pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
+@pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
+def test_writing_a_long_result_to_a_file_allocates_at_most_2_times_its_size(
+        long_resolution, line, provenance, tmp_path):
+    # Each piece is written as it is encoded, so what is held at once is
+    # about one list's strings; returning the bytes takes 2.4 to 3 times.
+    path = tmp_path / "long.json"
+    with open(path, "wb") as file:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            long_resolution.to_bytes(emit_provenance=provenance, line=line, file=file)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert path.read_bytes() == long_resolution.to_bytes(emit_provenance=provenance, line=line)
+    assert peak - before <= 2.0 * size, (peak - before) / size

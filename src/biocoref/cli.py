@@ -10,15 +10,20 @@ Exit codes: 0 success, 1 one or more documents failed, 2 configuration error.
 Per-run summaries go to stderr as JSON so stdout stays scriptable. ``resolve``
 is one loop on the main thread: it reads the inputs in order and hands their
 documents, each line of an NDJSON stream among them, out to its worker
-processes in tasks. For each single-document file it first creates the empty
-``<out>/.<stem>.json.part`` that the worker writes the result into; a stream
-line's result comes back as bytes, which the main process writes to the
-stream's part. Once a task's results are back, it moves each complete part
-onto ``<out>/<stem>.json``, in input order. With at most two tasks per worker
-out at a time, the main process holds a bounded window of documents, not
-whole files, and no single document's result. A ``--strict`` stop waits for
-the tasks still out; then, as after any stop, every part created and not
-moved is unlinked.
+processes in tasks. The main process reads a single-document file only to
+tell it from a stream, and keeps none of its text: the task carries the
+file's path, and the worker reads the file again: a file changed in
+between is resolved as the worker reads it, and one that no longer reads or
+loads fails only that document. For each single-document file the main
+process first creates the empty ``<out>/.<stem>.json.part`` that the worker
+writes the result into; a stream line travels as its text, and its result
+comes back as bytes, which the main process writes to the stream's part.
+Once a task's results are back, it moves each complete part onto
+``<out>/<stem>.json``, in input order. With at most two tasks per worker out
+at a time, the main process holds a bounded window of stream lines, no
+single document's text or result, and of each input only its path. A
+``--strict`` stop waits for the tasks still out; then, as after any stop,
+every part created and not moved is unlinked.
 """
 
 from __future__ import annotations
@@ -68,28 +73,33 @@ def _build_config(args) -> ResolverConfig:
                           disabled_sieves=disabled, trace=args.emit_provenance)
 
 
-def _worker_init(args: argparse.Namespace) -> None:
-    _WORKER_CONFIG["config"] = _build_config(args)
+def _worker_init(config: ResolverConfig) -> None:
+    # A forked worker inherits the main process's config; nothing is pickled.
+    _WORKER_CONFIG["config"] = config
 
 
-def _resolve_task(task: list[tuple[bytes | str, str | None]],
+def _resolve_task(task: list[tuple[str, str | None]],
                   config: ResolverConfig | None = None) -> list:
-    """``(output, counters, None)`` for each ``(text, part)`` document of one
-    task, in order, or ``(None, None, error)`` for one that cannot be
-    resolved, whatever the cause. A single document's ``part`` is the path of
-    the empty file the main process created for it: its indented result is
-    written into it and ``output`` is None. A stream line has no part:
-    ``output`` is its compact NDJSON line. Each document is taken out of
-    ``task`` as it is resolved, so its text is dropped once it is loaded.
-    ``config`` defaults to the one a pool worker built at start-up."""
+    """``(output, counters, None)`` for each ``(source, part)`` document of
+    one task, in order, or ``(None, None, error)`` for one that cannot be
+    resolved, whatever the cause. A single document's ``source`` is its
+    file's path, read here, and its ``part`` the path of the empty file the
+    main process created for it: its indented result is written into it and
+    ``output`` is None. A stream line's ``source`` is its text and it has no
+    part: ``output`` is its compact NDJSON line. Each document is taken out
+    of ``task`` as it is resolved, so its text is dropped once it is loaded.
+    ``config`` defaults to the one a pool worker inherited at start-up."""
     config = config or _WORKER_CONFIG["config"]
     results = []
     for i in range(len(task)):
-        text, part = task[i]
+        source, part = task[i]
         task[i] = None
         try:
-            doc = load_document(text, schema=config.schema)
-            del text
+            if part is not None:  # a file changed since the main process read it fails here
+                with open(source, "rb") as file:
+                    source = file.read()
+            doc = load_document(source, schema=config.schema)
+            del source
             resolution = resolve_document(doc, config)
             del doc
             if part is None:
@@ -105,11 +115,10 @@ def _resolve_task(task: list[tuple[bytes | str, str | None]],
     return results
 
 
-def _lines(file: BinaryIO, size: int) -> Iterator[str]:
-    """The lines of a UTF-8 file, without their ends, exactly as
-    ``str.splitlines`` splits its whole text, read ``size`` bytes at a time."""
+def _chunks(file: BinaryIO, size: int) -> Iterator[str]:
+    """The text of a UTF-8 file read from its start, ``size`` bytes at a
+    time, one decoded piece per read."""
     decode = codecs.getincrementaldecoder("utf-8")().decode
-    head: list[str] = []  # the text after the last line end read
     read = 0
     while True:
         data = file.read(size)
@@ -124,7 +133,15 @@ def _lines(file: BinaryIO, size: int) -> Iterator[str]:
             file.read(read).decode("utf-8")
             raise
         if not data:
-            break
+            return
+        yield text
+
+
+def _lines(file: BinaryIO, size: int) -> Iterator[str]:
+    """The lines of a UTF-8 file, without their ends, exactly as
+    ``str.splitlines`` splits its whole text, read ``size`` bytes at a time."""
+    head: list[str] = []  # the text after the last line end read
+    for text in _chunks(file, size):
         pieces = text.splitlines(keepends=True)
         if not pieces:
             continue
@@ -148,19 +165,32 @@ _OBJECT = object()  # what _skim gives for each JSON object
 _NON_SPACE = re.compile(r"\S")
 
 
-def _two_lines(text: str) -> bool:
-    """Whether ``text`` has at least two non-empty lines, as
-    ``str.splitlines`` and ``str.strip`` see them, found without splitting it."""
-    first = _NON_SPACE.search(text)
-    if first is None:
-        return False
-    # The first line end after it; each search stops at the nearest found so far.
-    start, end = first.end(), len(text)
-    for char in _LINE_ENDS:
-        found = text.find(char, start, end)
-        if found >= 0:
-            end = found
-    return end < len(text) and _NON_SPACE.search(text, end) is not None
+def _two_lines(texts: Iterable[str]) -> bool:
+    """Whether the text made of ``texts`` has at least two non-empty lines,
+    as ``str.splitlines`` and ``str.strip`` see them: a non-space character,
+    a line end after it, and a non-space character after that. Each piece is
+    searched and dropped; no line is built."""
+    seen = 0  # how many of the three have been found
+    for text in texts:
+        start = 0
+        if seen == 0:
+            first = _NON_SPACE.search(text)
+            if first is None:
+                continue
+            start, seen = first.end(), 1
+        if seen == 1:
+            # The first line end from ``start``; each search stops at the nearest found so far.
+            end = len(text)
+            for char in _LINE_ENDS:
+                found = text.find(char, start, end)
+                if found >= 0:
+                    end = found
+            if end == len(text):
+                continue
+            start, seen = end, 2
+        if _NON_SPACE.search(text, start) is not None:
+            return True
+    return False
 
 
 def _skim(text: str) -> object:
@@ -169,50 +199,49 @@ def _skim(text: str) -> object:
     return json.loads(text, object_pairs_hook=lambda pairs: _OBJECT)
 
 
-def _documents(file: BinaryIO) -> tuple[bool, Iterable[tuple[int | None, bytes | str]]]:
-    """Whether an input file is an NDJSON stream, and its documents as
-    ``(line, text)``: a stream's non-empty lines, numbered from 1 as
-    ``str.splitlines`` counts lines, or else the file's bytes with line None.
-    A file is a stream when it does not load as one JSON object and has at
-    least two non-empty lines.
+def _documents(file: BinaryIO, buffer: bytearray) -> Iterator[tuple[int, str]] | None:
+    """An NDJSON stream's documents as ``(line, text)``, its non-empty lines
+    numbered from 1 as ``str.splitlines`` counts lines, or None when the
+    file is one document. A file is a stream when it does not load as one
+    JSON object and has at least two non-empty lines. The file is read into
+    ``buffer``, or, when it fills the buffer, ``len(buffer)`` bytes at a time.
 
-    A file longer than one read is first read line by line. With at most
-    one non-empty line it is one document. If its first non-empty line holds
-    a JSON value by itself, the file cannot be one object: it is read lazily
-    as a stream. Any other file is read whole to apply the rule; it is
-    parsed only when it has two non-empty lines, and split into lines only
-    when it is not one object. A single document stays bytes: non-ASCII text
-    takes less memory as UTF-8 than as a str."""
-    data = file.read(_READ_SIZE)
-    if len(data) == _READ_SIZE:
+    A file that fills the buffer is first scanned for two non-empty lines.
+    With fewer it is one document, and no text of it is kept. If its first
+    non-empty line holds a JSON value by itself, the file cannot be one
+    object: it is read lazily as a stream. Any other file is read whole to
+    apply the rule; it is parsed only when it has two non-empty lines, and
+    split into lines only when it is not one object."""
+    size = file.readinto(buffer)
+    if size == len(buffer):
         file.seek(0)
-        lines = ((n, line) for n, line in enumerate(_lines(file, _READ_SIZE), 1)
-                 if line.strip())
+        if not _two_lines(_chunks(file, size)):
+            return None
+        file.seek(0)
+        lines = ((n, line) for n, line in enumerate(_lines(file, size), 1) if line.strip())
         first, second = next(lines, None), next(lines, None)
-        if second is None:  # at most one non-empty line: one document
-            del first
-            file.seek(0)
-            return False, [(None, file.read())]
+        if second is None:  # the file changed since it was scanned
+            return None
         try:
             _skim(first[1])
         except (ValueError, RecursionError):
             pass
         else:
-            return True, chain((first, second), lines)
+            return chain((first, second), lines)
         file.seek(0)
-        data = file.read()
-    text = data.decode("utf-8")
-    if _two_lines(text):
-        try:
-            # A document parsed here is parsed again by its worker; a stream's
-            # parse stops after its first line.
-            stream = _skim(text) is not _OBJECT
-        except (ValueError, RecursionError):  # RecursionError: nesting too deep
-            stream = True
-        if stream:
-            return True, [(n, line) for n, line in enumerate(text.splitlines(), 1)
-                          if line.strip()]
-    return False, [(None, data)]
+        text = file.read().decode("utf-8")
+    else:
+        text = str(memoryview(buffer)[:size], "utf-8")
+    if not _two_lines((text,)):
+        return None
+    try:
+        # A document parsed here is parsed again by its worker; a stream's
+        # parse stops after its first line.
+        if _skim(text) is _OBJECT:
+            return None
+    except (ValueError, RecursionError):  # RecursionError: nesting too deep
+        pass
+    return iter([(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()])
 
 
 def _task_size(documents: int, jobs: int) -> int:
@@ -222,45 +251,65 @@ def _task_size(documents: int, jobs: int) -> int:
     return math.ceil(documents / (4 * jobs))
 
 
+def _out_name(path: str) -> str:
+    """``PurePath(path).stem + ".json"``, found without a path object, whose
+    parts Python would keep for the life of the process."""
+    name = next((part for part in reversed(path.split("/")) if part not in ("", ".")), "")
+    dot = name.rfind(".")
+    return (name[:dot] if 0 < dot < len(name) - 1 else name) + ".json"
+
+
+def _clashes(paths: list[str], out_dir: Path) -> list[str]:
+    """Each output file that more than one input would write, with the inputs."""
+    by_name: dict[str, list[str]] = {}
+    for path in paths:
+        by_name.setdefault(_out_name(path), []).append(path)
+    return [f"{out_dir / name} <- {', '.join(group)}"
+            for name, group in by_name.items() if len(group) > 1]
+
+
 def _part(out_dir: str, name: str) -> str:
     """Where the output file ``name`` is written until it is complete."""
     return os.path.join(out_dir, f".{name}.part")
 
 
-def _tasks(paths: list[str], jobs: int, out_dir: str, out_names: dict[str, str],
+def _tasks(paths: list[str], jobs: int, out_dir: str,
            created: set[str]) -> Iterator[tuple[list, list]]:
     """Read the input files in order and yield their documents, in order, as
-    ``(task, where)``: ``task`` holds ``(text, part)`` for at most _WINDOW
+    ``(task, where)``: ``task`` holds ``(source, part)`` for at most _WINDOW
     stream lines, or the share ``_task_size`` gives of single-document files
-    if that is fewer. A single document's ``part`` is its output's part in
-    ``out_dir``, created empty here and added to ``created`` before it is
-    handed out; a stream line's is None. ``where`` places them, in input
-    order: ``(input, line, False, None)`` for each document, ``input`` being
-    its file's index in ``paths``, and ``(input, None, True, error)`` after a
-    file's documents, ``error`` being the error that reading the file or
-    creating its part raised, or None. A file's end goes in the ``where`` of
-    the last document read before it, or of the first task if there is none;
-    when no file has a document, that task is empty. A stream that fails part
-    way has handed out its first documents already."""
-    task: list[tuple[bytes | str, str | None]] = []
+    if that is fewer. A stream line's ``source`` is its text and its
+    ``part`` None. A single document's ``source`` is its file's path, read
+    here only to tell it from a stream, and its ``part`` is its output's
+    part in ``out_dir``, created empty here and added to ``created`` before
+    it is handed out. ``where`` places them, in input order: ``(input, line,
+    False, None)`` for each document, ``input`` being its file's index in
+    ``paths``, and ``(input, None, True, error)`` after a file's documents,
+    ``error`` being the error that reading the file or creating its part
+    raised, or None. A file's end goes in the ``where`` of the last document
+    read before it, or of the first task if there is none; when no file has
+    a document, that task is empty. A stream that fails part way has handed
+    out its first documents already."""
+    task: list[tuple[str, str | None]] = []
     where: list[tuple[int, int | None, bool, str | None]] = []
     singles = min(_WINDOW, _task_size(len(paths), jobs))
+    buffer = bytearray(_READ_SIZE)  # every file is first read into it
     for index, path in enumerate(paths):
         error = None
         try:
             with open(path, "rb") as file:
-                stream, docs = _documents(file)
-                size = _WINDOW if stream else singles
-                for line, doc in docs:
+                lines = _documents(file, buffer)
+                size = singles if lines is None else _WINDOW
+                for line, source in lines or [(None, path)]:
                     if len(task) >= size:
                         yield task, where
                         task, where = [], []
                     part = None
-                    if not stream:
-                        part = _part(out_dir, out_names[path])
+                    if lines is None:
+                        part = _part(out_dir, _out_name(path))
                         open(part, "wb").close()
                         created.add(part)
-                    task.append((doc, part))
+                    task.append((source, part))
                     where.append((index, line, False, None))
         except (OSError, UnicodeDecodeError) as exc:
             error = f"{type(exc).__name__}: {exc}"
@@ -369,7 +418,7 @@ class _Output:
 
 
 def _outputs(collated: Iterable[tuple[tuple, tuple | None]], paths: list[str],
-             out_names: dict[str, str], out_dir: str, created: set[str]) -> Iterator[_Output]:
+             out_dir: str, created: set[str]) -> Iterator[_Output]:
     """Write each input's results as ``_run`` hands them out, and yield
     each input's ``_Output`` once its end has been handed out. An output left
     unfinished when an exception or ``close`` stops the generator is
@@ -379,7 +428,7 @@ def _outputs(collated: Iterable[tuple[tuple, tuple | None]], paths: list[str],
         for (index, line, end, read_error), result in collated:
             if output is None:
                 path = paths[index]
-                output = _Output(path, out_dir, out_names[path], created)
+                output = _Output(path, out_dir, _out_name(path), created)
             if not end:
                 output.add(line, result)
                 del result  # written: not held while the next one is awaited
@@ -393,16 +442,16 @@ def _outputs(collated: Iterable[tuple[tuple, tuple | None]], paths: list[str],
 
 
 @contextmanager
-def _pool(args: argparse.Namespace) -> Iterator:
-    """A pool of ``args.jobs`` forked workers. On a normal exit, such as a
-    ``--strict`` stop, it takes no more tasks and waits for those in flight;
-    on an exception it stops its workers at once."""
+def _pool(jobs: int, config: ResolverConfig) -> Iterator:
+    """A pool of ``jobs`` forked workers that resolve with ``config``. On a
+    normal exit, such as a ``--strict`` stop, it takes no more tasks and
+    waits for those in flight; on an exception it stops its workers at once."""
     # Imported here, so a run that starts no pool does not pay for it.
     # Forked workers start without a fresh interpreter and import; the pool
     # forks them before it starts its own threads.
     import multiprocessing
-    pool = multiprocessing.get_context("fork").Pool(args.jobs, initializer=_worker_init,
-                                                    initargs=(args,))
+    pool = multiprocessing.get_context("fork").Pool(jobs, initializer=_worker_init,
+                                                    initargs=(config,))
     try:
         yield pool
     except BaseException:
@@ -432,12 +481,7 @@ def cmd_resolve(args) -> int:
     # A pattern with two ``**`` lists one file once per way it matches.
     paths = sorted(set(globlib.glob(args.inputs, recursive=True)))
     out_dir = Path(args.out)
-    out_names = {path: Path(path).stem + ".json" for path in paths}
-    by_name: dict[str, list[str]] = {}
-    for path, name in out_names.items():
-        by_name.setdefault(name, []).append(path)
-    clashes = [f"{out_dir / name} <- {', '.join(group)}"
-               for name, group in by_name.items() if len(group) > 1]
+    clashes = _clashes(paths, out_dir)
     if clashes:
         print(f"configuration error: inputs share an output file: {'; '.join(clashes)}",
               file=sys.stderr)
@@ -452,15 +496,15 @@ def cmd_resolve(args) -> int:
         # and, with no worker left to write one, every part created and not
         # moved into place is unlinked.
         stack.callback(_unlink, created)
-        tasks = _tasks(paths, args.jobs, str(out_dir), out_names, created)
+        tasks = _tasks(paths, args.jobs, str(out_dir), created)
         stack.callback(tasks.close)
         if args.jobs > 1 and paths:
-            pool = stack.enter_context(_pool(args))
+            pool = stack.enter_context(_pool(args.jobs, config))
             collated = _run(tasks, lambda task: pool.apply_async(_resolve_task, (task,)).get,
                             _TASKS_PER_JOB * args.jobs)
         else:
             collated = _run(tasks, lambda task: partial(_resolve_task, task, config), 1)
-        outputs = _outputs(collated, paths, out_names, str(out_dir), created)
+        outputs = _outputs(collated, paths, str(out_dir), created)
         stack.callback(outputs.close)
         for output in outputs:
             if output.failure is not None:

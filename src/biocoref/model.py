@@ -137,7 +137,8 @@ def validate_document(doc: Document, event_types: frozenset[str]) -> None:
     """Check every document invariant, raising SchemaViolation on the first failure.
 
     ``event_types`` is the configured inventory, so unknown types are rejected
-    at the boundary.
+    at the boundary. Surfaces are not compared with the text: the loader
+    slices each from the text, an entity's only once its span is in bounds.
     """
     text_len = len(doc.text)
     prev_end = 0
@@ -151,8 +152,6 @@ def validate_document(doc: Document, event_types: frozenset[str]) -> None:
         for tok in sent.tokens:
             if tok.start < tok_end or tok.end > sent.end or tok.start >= tok.end:
                 raise SchemaViolation(f"sentence {sent.index}: bad token span [{tok.start},{tok.end})")
-            if tok.surface != doc.text[tok.start:tok.end]:
-                raise SchemaViolation(f"token at {tok.start}: surface mismatch")
             if tok.pos_hint is not None and tok.pos_hint not in POS_HINTS:
                 raise SchemaViolation(f"token at {tok.start}: unknown pos hint {tok.pos_hint!r}")
             tok_end = tok.end
@@ -167,8 +166,6 @@ def validate_document(doc: Document, event_types: frozenset[str]) -> None:
             raise SchemaViolation(f"{ent.id}: span [{ent.start},{ent.end}) out of bounds")
         if ent.label not in ENTITY_CLASSES:
             raise SchemaViolation(f"{ent.id}: unknown entity class {ent.label!r}")
-        if ent.surface != doc.text[ent.start:ent.end]:
-            raise SchemaViolation(f"{ent.id}: surface does not match covered text")
         if not _covered_by_sentence(doc, starts, ent.start, ent.end):
             raise SchemaViolation(f"{ent.id}: span not covered by any sentence")
         for mut in ent.mutations:

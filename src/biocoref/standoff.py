@@ -133,8 +133,15 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
 
     sentences = []
     for s in _require_list(raw, "sentences", doc_id):
+        # A sentence's tokens are read before its own fields.
+        fast = (type(s) is dict and type(items := s.get("tokens", _NO_ITEMS)) is list
+                and type(index := s.get("index")) is int
+                and type(sent_start := s.get("start")) is int
+                and type(sent_end := s.get("end")) is int)
+        if not fast:
+            items = _require_list(s, "tokens", sentence_where, optional=True)
         tokens = []
-        for t in _require_list(s, "tokens", sentence_where, optional=True):
+        for t in items:
             if not (type(t) is dict and type(start := t.get("start")) is int
                     and type(end := t.get("end")) is int
                     and ((pos := t.get("pos")) is None or type(pos) is str)):
@@ -142,12 +149,11 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
                 end = _require_int(t, "end", token_where)
                 pos = _optional_str(t, "pos", token_where)
             tokens.append(Token(start, end, text[start:end], pos))
-        sentences.append(Sentence(
-            index=_require_int(s, "index", sentence_where),
-            start=_require_int(s, "start", sentence_where),
-            end=_require_int(s, "end", sentence_where),
-            tokens=tuple(tokens),
-        ))
+        if not fast:
+            index = _require_int(s, "index", sentence_where)
+            sent_start = _require_int(s, "start", sentence_where)
+            sent_end = _require_int(s, "end", sentence_where)
+        sentences.append(Sentence(index, sent_start, sent_end, tuple(tokens)))
 
     entities = []
     for e in _require_list(raw, "entities", doc_id):

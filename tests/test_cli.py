@@ -375,6 +375,21 @@ def test_output_name_collision_exits_2(tmp_path, corpus_dir, names):
     assert not out.exists()
 
 
+def test_output_name_collision_message_is_exact(tmp_path, corpus_dir, capsys):
+    for name in ("a/x.json", "b/x.json", "b/y.json", "c/y.ndjson", "c/z.json"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        shutil.copy(corpus_dir / "ex12_foxp3.json", tmp_path / name)
+    # A trailing separator on --out does not show in the message.
+    code = cli.main(["resolve", "--in", str(tmp_path / "*" / "*"),
+                     "--out", str(tmp_path / "out") + "/"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: inputs share an output file: "
+        f"{tmp_path}/out/x.json <- {tmp_path}/a/x.json, {tmp_path}/b/x.json; "
+        f"{tmp_path}/out/y.json <- {tmp_path}/b/y.json, {tmp_path}/c/y.ndjson\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exits_2(tmp_path, corpus_dir, jobs):
     out = tmp_path / "out"

@@ -13,8 +13,9 @@ Two families of mutants, each a fixture with one to three random edits:
   both the result file and the stream line of each.
 
 Every mutant goes through the CLI's per-document boundary with provenance
-on; no exception may escape it. A result file is written into a part file,
-as a worker writes it, and read back. Every mutant that loads must also keep
+on; no exception may escape it. For a result file, each mutant is written
+to a file of its own, and a worker reads it and writes the result into a
+part file, which is read back. Every mutant that loads must also keep
 the README guarantees that ``test_properties`` checks. Deleted event arguments
 change which events are complete, so the digests pin the completeness rule
 too.
@@ -49,10 +50,15 @@ SECTIONS = ("sentences", "entities", "events")
 
 def _resolve(text, config, part=None):
     """``(output, error)`` from the CLI's per-document boundary: the compact
-    stream line, or with ``part`` the result file written into it."""
+    stream line, or with ``part`` the result file written into it from the
+    mutant's own file beside it."""
+    source = text
     if part is not None:
+        mutant = part.with_name("mutant.json")
+        mutant.write_text(text, encoding="utf-8")
         part.write_bytes(b"")
-    [(output, _counters, error)] = _resolve_task([(text, part and str(part))], config)
+        source = str(mutant)
+    [(output, _counters, error)] = _resolve_task([(source, part and str(part))], config)
     if part is not None and error is None:
         output = part.read_bytes()
     return output, error

@@ -8,7 +8,7 @@ import random
 import signal
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
 
@@ -74,19 +74,23 @@ STREAM_RULE = [
 ]
 
 
+def documents(data, size):
+    """``_documents`` of ``data`` read through a buffer of ``size`` bytes:
+    a stream's numbered lines as a list, or None for one document."""
+    docs = cli._documents(io.BytesIO(data), bytearray(size))
+    return None if docs is None else list(docs)
+
+
 @pytest.mark.parametrize("text, stream", [case[1:] for case in STREAM_RULE],
                          ids=[case[0] for case in STREAM_RULE])
-def test_lazy_stream_rule_agrees_with_the_whole_file_rule(monkeypatch, text, stream):
+def test_lazy_stream_rule_agrees_with_the_whole_file_rule(text, stream):
     data = text.encode("utf-8")
-    found = {}
-    for size in (4, 1 << 20):  # 4 bytes reads every file lazily first; 1 MiB reads it whole
-        monkeypatch.setattr(cli, "_READ_SIZE", size)
-        is_stream, docs = cli._documents(io.BytesIO(data))
-        found[size] = is_stream, list(docs)
+    # A 4-byte buffer reads every file lazily first; 1 MiB reads it whole.
+    found = {size: documents(data, size) for size in (4, 1 << 20)}
     assert found[4] == found[1 << 20]
     want = ([(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
-            if stream else [(None, data)])
-    assert found[4] == (stream, want)
+            if stream else None)
+    assert found[4] == want
 
 
 def reference_rule(data):
@@ -101,8 +105,8 @@ def reference_rule(data):
         except (ValueError, RecursionError):
             stream = True
         if stream:
-            return True, numbered
-    return False, [(None, data)]
+            return numbered
+    return None
 
 
 ONE_OBJECT_RULE = [
@@ -124,12 +128,10 @@ ONE_OBJECT_RULE = [
 
 @pytest.mark.parametrize("text", [case[1] for case in ONE_OBJECT_RULE],
                          ids=[case[0] for case in ONE_OBJECT_RULE])
-def test_stream_rule_agrees_with_the_rule_that_built_the_tree(monkeypatch, text):
+def test_stream_rule_agrees_with_the_rule_that_built_the_tree(text):
     data = text.encode("utf-8")
     for size in (4, 1 << 20):
-        monkeypatch.setattr(cli, "_READ_SIZE", size)
-        stream, docs = cli._documents(io.BytesIO(data))
-        assert (stream, list(docs)) == reference_rule(data), size
+        assert documents(data, size) == reference_rule(data), size
 
 
 def test_stream_rule_agrees_with_the_reference_on_random_texts():
@@ -137,33 +139,62 @@ def test_stream_rule_agrees_with_the_reference_on_random_texts():
     atoms = WORDS + SEPARATORS + [LINE, "[", "]", "1", "{", "}", '"a":', ","]
     for _ in range(2000):
         data = "".join(rng.choice(atoms) for _ in range(rng.randrange(12))).encode("utf-8")
-        stream, docs = cli._documents(io.BytesIO(data))
-        assert (stream, list(docs)) == reference_rule(data), data
+        assert documents(data, cli._READ_SIZE) == reference_rule(data), data
 
 
-def test_a_stream_is_read_as_its_documents_are_taken(monkeypatch):
-    monkeypatch.setattr(cli, "_READ_SIZE", 256)
+def test_a_stream_is_read_as_its_documents_are_taken():
     data = ndjson(minimal(f"d{i}") for i in range(1000))
     file = io.BytesIO(data)
-    stream, docs = cli._documents(file)
-    assert stream and next(docs) == (1, json.dumps(minimal("d0")))
+    docs = cli._documents(file, bytearray(256))
+    assert next(docs) == (1, json.dumps(minimal("d0")))
     assert file.tell() <= 512 < len(data)
 
 
 def test_a_single_document_is_written_into_its_part_and_not_returned(tmp_path, config):
-    text = (FIXTURES / "ex12_foxp3.json").read_bytes()
+    path = str(FIXTURES / "ex12_foxp3.json")
+    text = (FIXTURES / "ex12_foxp3.json").read_text(encoding="utf-8")
     want = resolve_document(load_document(text), config)
     part = tmp_path / ".ex12_foxp3.json.part"
     part.write_bytes(b"")
     missing = tmp_path / ".missing.json.part"
-    task = [(text, str(part)), (text, None), (text, str(missing))]
-    (out, counters, error), stream_line, (_, _, missed) = cli._resolve_task(task, config)
-    assert task == [None] * 3  # each text is taken out of the task
+    gone = tmp_path / ".gone.json.part"
+    gone.write_bytes(b"")
+    task = [(path, str(part)), (text, None), (path, str(missing)),
+            (str(tmp_path / "gone.json"), str(gone))]
+    (out, counters, error), stream_line, (_, _, missed), (_, _, unread) = cli._resolve_task(
+        task, config)
+    assert task == [None] * 4  # each document is taken out of the task
     assert out is None and error is None and counters == want.counters
     assert part.read_bytes() == want.to_bytes()
     assert stream_line == (want.to_bytes(line=True), want.counters, None)
     # A worker opens the part the main process created; it never creates one.
     assert missed.startswith("FileNotFoundError: ") and not missing.exists()
+    # A file gone since the main process read it fails its document only.
+    assert unread.startswith("FileNotFoundError: ") and gone.read_bytes() == b""
+
+
+def test_a_single_document_travels_as_its_path_and_a_stream_line_as_its_text(tmp_path):
+    single = tmp_path / "a_single.json"
+    single.write_text(json.dumps(minimal("a"), indent=2))
+    stream = tmp_path / "b_stream.ndjson"
+    stream.write_bytes(ndjson([minimal("b0"), minimal("b1")]))
+    created = set()
+    [(task, where)] = cli._tasks([str(single), str(stream)], 1, str(tmp_path), created)
+    part = str(tmp_path / ".a_single.json.part")
+    assert task == [(str(single), part), (json.dumps(minimal("b0")), None),
+                    (json.dumps(minimal("b1")), None)]
+    assert where == [(0, None, False, None), (0, None, True, None),
+                     (1, 1, False, None), (1, 2, False, None), (1, None, True, None)]
+    assert created == {part}
+
+
+@pytest.mark.parametrize("path", [
+    "x.json", "dir/x.json", "/abs/dir/x.ndjson", "x", "x.tar.gz", "a.", "a..", ".hidden",
+    ".hidden.json", "..", "a/..", "a/.", "a/b/", "a//b", "/", "", ".", "./x.json",
+    "d.d/x", "\u03b2eta.json", "\u00e9t\u00e9/r\u00e9sum\u00e9.txt", "\U0001f9ec.json",
+    "sp ace.json", "x.json.", "tab\t.json"])
+def test_output_names_are_pure_path_stems(path):
+    assert cli._out_name(path) == PurePath(path).stem + ".json"
 
 
 LAUNCHER = """

@@ -22,8 +22,8 @@ Once a task's results are back, it moves each complete part onto
 ``<out>/<stem>.json``, in input order. With at most two tasks per worker out
 at a time, the main process holds a bounded window of stream lines, no
 single document's text or result, and of each input only its path. A
-``--strict`` stop waits for the tasks still out; then, as after any stop,
-every part created and not moved is unlinked.
+``--strict`` stop kills the workers still resolving; then, as after any
+stop, every part created and not moved is unlinked.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import os
 import re
 import sys
 from collections import deque
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, suppress
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
@@ -48,8 +48,6 @@ from .grounding import default_table, load_table_file
 from .resolver import ResolverConfig, resolve_document, validate_disabled
 from .schema import default_schema, load_schema_file
 from .standoff import load_document
-
-_WORKER_CONFIG: dict = {}
 
 # The most documents one task holds. With at most _TASKS_PER_JOB tasks per
 # worker handed out and not yet written, the main process holds a window of
@@ -73,13 +71,7 @@ def _build_config(args) -> ResolverConfig:
                           disabled_sieves=disabled, trace=args.emit_provenance)
 
 
-def _worker_init(config: ResolverConfig) -> None:
-    # A forked worker inherits the main process's config; nothing is pickled.
-    _WORKER_CONFIG["config"] = config
-
-
-def _resolve_task(task: list[tuple[str, str | None]],
-                  config: ResolverConfig | None = None) -> list:
+def _resolve_task(task: list[tuple[str, str | None]], config: ResolverConfig) -> list:
     """``(output, counters, None)`` for each ``(source, part)`` document of
     one task, in order, or ``(None, None, error)`` for one that cannot be
     resolved, whatever the cause. A single document's ``source`` is its
@@ -87,9 +79,7 @@ def _resolve_task(task: list[tuple[str, str | None]],
     main process created for it: its indented result is written into it and
     ``output`` is None. A stream line's ``source`` is its text and it has no
     part: ``output`` is its compact NDJSON line. Each document is taken out
-    of ``task`` as it is resolved, so its text is dropped once it is loaded.
-    ``config`` defaults to the one a pool worker inherited at start-up."""
-    config = config or _WORKER_CONFIG["config"]
+    of ``task`` as it is resolved, so its text is dropped once it is loaded."""
     results = []
     for i in range(len(task)):
         source, part = task[i]
@@ -441,26 +431,6 @@ def _outputs(collated: Iterable[tuple[tuple, tuple | None]], paths: list[str],
             output.discard()
 
 
-@contextmanager
-def _pool(jobs: int, config: ResolverConfig) -> Iterator:
-    """A pool of ``jobs`` forked workers that resolve with ``config``. On a
-    normal exit, such as a ``--strict`` stop, it takes no more tasks and
-    waits for those in flight; on an exception it stops its workers at once."""
-    # Imported here, so a run that starts no pool does not pay for it.
-    # Forked workers start without a fresh interpreter and import; the pool
-    # forks them before it starts its own threads.
-    import multiprocessing
-    pool = multiprocessing.get_context("fork").Pool(jobs, initializer=_worker_init,
-                                                    initargs=(config,))
-    try:
-        yield pool
-    except BaseException:
-        pool.terminate()
-        raise
-    pool.close()
-    pool.join()
-
-
 def _unlink(parts: set[str]) -> None:
     for part in parts:
         with suppress(FileNotFoundError):
@@ -499,9 +469,11 @@ def cmd_resolve(args) -> int:
         tasks = _tasks(paths, args.jobs, str(out_dir), created)
         stack.callback(tasks.close)
         if args.jobs > 1 and paths:
-            pool = stack.enter_context(_pool(args.jobs, config))
-            collated = _run(tasks, lambda task: pool.apply_async(_resolve_task, (task,)).get,
-                            _TASKS_PER_JOB * args.jobs)
+            from .workers import Pool  # only a run with workers loads it
+            pool = Pool(partial(_resolve_task, config=config))
+            stack.callback(pool.stop)
+            pool.start(args.jobs)
+            collated = _run(tasks, pool.submit, _TASKS_PER_JOB * args.jobs)
         else:
             collated = _run(tasks, lambda task: partial(_resolve_task, task, config), 1)
         outputs = _outputs(collated, paths, str(out_dir), created)

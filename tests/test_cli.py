@@ -62,25 +62,28 @@ def test_glob_matching_one_file_many_ways_resolves_it_once(tmp_path, corpus_dir)
     assert [p.name for p in out.iterdir()] == ["x.json"]
 
 
-def test_cli_import_leaves_fixtures_and_evaluation_unloaded(tmp_path):
+def test_cli_import_leaves_fixtures_and_evaluation_unloaded(tmp_path, corpus_dir):
     # resolve never uses the first two; cmd_fixtures and cmd_eval import them.
-    # The rest cost start-up time: dataclasses (which imports inspect) and
-    # multiprocessing, which resolve imports only when it starts a pool.
-    # Modules the interpreter loaded before biocoref are not counted.
+    # The rest cost start-up time: dataclasses (which imports inspect). A run
+    # with workers forks them and talks to them over pipes: it loads neither
+    # multiprocessing nor pickle, and starts no thread. Modules the
+    # interpreter loaded before biocoref are not counted.
     code = f"""
 import sys
 before = set(sys.modules)
 unwanted = {{"biocoref.fixtures", "biocoref.evaluation", "dataclasses", "inspect",
-            "multiprocessing"}}
+            "multiprocessing", "pickle", "threading"}}
 import biocoref.cli
 print(sorted(unwanted & (set(sys.modules) - before)))
-biocoref.cli.main(["resolve", "--in", {str(tmp_path / "nothing-*.json")!r},
-                   "--out", {str(tmp_path / "out")!r}, "--jobs", "2"])
-print(sorted(unwanted & (set(sys.modules) - before)))
+for inputs in ({str(tmp_path / "nothing-*.json")!r}, {str(corpus_dir / "ex12_foxp3.json")!r}):
+    code = biocoref.cli.main(["resolve", "--in", inputs, "--out", {str(tmp_path / "out")!r},
+                              "--jobs", "2"])
+    print(code, sorted(unwanted & (set(sys.modules) - before)))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "[]", ""]
+    assert proc.stdout.split("\n") == ["[]", "0 []", "0 []", ""]
+    assert json.loads(proc.stderr.strip().splitlines()[-1])["docs"] == 1
 
 
 def test_resolve_bad_config_exits_2(tmp_path, corpus_dir):

@@ -3,16 +3,19 @@ splitting, the stream rule, flat memory, early exits and atomic outputs."""
 
 import io
 import json
+import marshal
 import os
 import random
 import signal
 import subprocess
 import sys
+import time
+from contextlib import suppress
 from pathlib import Path, PurePath
 
 import pytest
 
-from biocoref import cli
+from biocoref import cli, workers
 from biocoref.resolver import resolve_document
 from biocoref.standoff import load_document
 
@@ -228,29 +231,82 @@ def test_peak_memory_is_flat_in_stream_length(tmp_path, jobs):
     assert peaks[1] - peaks[0] < 4 * 1024, peaks
 
 
+def bounded(args, timeout, what):
+    """Run ``args`` in a session of its own and return ``(exit, stdout,
+    stderr)``; if it outlasts ``timeout`` seconds, kill the session and fail
+    with ``what``."""
+    proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(what)
+    return proc.returncode, stdout, stderr
+
+
+# Put before a script that runs the CLI: it makes the script print each worker's pid.
+FORKS = """
+import os
+fork = os.fork
+
+def forked():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = forked
+"""
+MAIN = """
+import sys
+from biocoref import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def workers_of(stdout, count=2):
+    pids = [int(pid) for pid in stdout.split()]
+    assert len(pids) == count, pids
+    return pids
+
+
+def running(pid):
+    """Whether ``pid`` is a process that has not exited; a zombie has. Read
+    from /proc: where there is none, every process counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def assert_gone(pids):
+    deadline = time.monotonic() + 5
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(running, pids)), pids
+
+
 def test_strict_exit_with_a_full_window_does_not_hang(tmp_path):
     # 301 files make 8 tasks of 38 at --jobs 2, twice the window of 4 tasks,
-    # and the failure is in the first task: the exit must stop the pool
-    # while the rest of the window is still handed out.
+    # and the failure is in the first task: the exit must stop the pool, and
+    # reap its workers, while the rest of the window is still handed out.
     (tmp_path / "a_bad.json").write_text('{"doc_id": "broken"}')
     for i in range(300):
         (tmp_path / f"b{i:03}.json").write_text(json.dumps(minimal(f"b{i}")))
     out = tmp_path / "out"
-    proc = subprocess.Popen(CLI + ["resolve", "--in", str(tmp_path / "*.json"),
-                                   "--out", str(out), "--jobs", "2", "--strict"],
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                            start_new_session=True)
-    try:
-        _, stderr = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("resolve --strict hung after its first failure")
-    assert proc.returncode == 1, stderr
+    args = ["resolve", "--in", str(tmp_path / "*.json"), "--out", str(out), "--jobs", "2",
+            "--strict"]
+    code, stdout, stderr = bounded([sys.executable, "-c", FORKS + MAIN, *args], 60,
+                                   "resolve --strict hung after its first failure")
+    assert code == 1, stderr
     summary = summary_of(stderr)
     assert [f["file"] for f in summary["failed"]] == [str(tmp_path / "a_bad.json")]
     assert summary["docs"] == 0
     assert list(out.iterdir()) == []
+    assert_gone(workers_of(stdout))
 
 
 @pytest.mark.parametrize("strict", [[], ["--strict"]])
@@ -314,20 +370,14 @@ def test_interrupt_with_a_full_window_stops_the_pool_and_leaves_no_part_file(tmp
     for i in range(300):
         (tmp_path / f"f{i:03}.json").write_text(json.dumps(minimal(f"f{i}")))
     out = tmp_path / "out"
-    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTED, "resolve",
-                             "--in", str(tmp_path / "*.json"), "--out", str(out), "--jobs", "2"],
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                            start_new_session=True)
-    try:
-        _, stderr = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("resolve --jobs 2 hung after an interrupt")
-    assert proc.returncode != 0 and "KeyboardInterrupt" in stderr, stderr
+    code, stdout, stderr = bounded([sys.executable, "-c", FORKS + INTERRUPTED, "resolve",
+                                    "--in", str(tmp_path / "*.json"), "--out", str(out),
+                                    "--jobs", "2"], 60, "resolve --jobs 2 hung after an interrupt")
+    assert code != 0 and "KeyboardInterrupt" in stderr, stderr
     assert sorted(p.name for p in out.iterdir()) == [f"f{i:03}.json" for i in range(50)]
     for i in range(50):
         assert json.loads((out / f"f{i:03}.json").read_bytes())["doc_id"] == f"f{i}"
+    assert_gone(workers_of(stdout))
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -401,3 +451,123 @@ def test_part_that_cannot_be_created_fails_only_its_input(tmp_path, jobs):
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["a_ok.json", "d_ok.json"] + [part.name for part in blocked])
     assert all(part.is_dir() for part in blocked)
+
+
+DIES = """
+import os
+from biocoref import cli
+resolve = cli.resolve_document
+
+def dies(doc, config):
+    if doc.doc_id == "b":
+        os._exit(3)
+    return resolve(doc, config)
+
+cli.resolve_document = dies
+"""
+
+
+@pytest.mark.parametrize("strict", [[], ["--strict"]])
+def test_a_worker_that_dies_fails_its_documents_and_the_run_goes_on(tmp_path, strict):
+    # Three files make three tasks of one at --jobs 2; b's worker exits in
+    # it, and a third worker takes its place. No worker outlives the run.
+    for name in "abc":
+        (tmp_path / f"{name}.json").write_text(json.dumps(minimal(name)))
+    out = tmp_path / "out"
+    args = ["resolve", "--in", str(tmp_path / "*.json"), "--out", str(out), "--jobs", "2",
+            *strict]
+    code, stdout, stderr = bounded([sys.executable, "-c", FORKS + DIES + MAIN, *args], 60,
+                                   "resolve hung after a worker died")
+    assert code == 1, stderr
+    assert_gone(workers_of(stdout, 3))
+    summary = summary_of(stderr)
+    assert summary["failed"] == [{"file": str(tmp_path / "b.json"),
+                                  "error": "WorkerExited: exit status 3"}]
+    written = ["a.json"] if strict else ["a.json", "c.json"]
+    assert sorted(p.name for p in out.iterdir()) == written  # and no part file
+    assert summary["docs"] == len(written)
+
+
+def test_tasks_and_results_larger_than_a_pipe_do_not_deadlock(tmp_path):
+    # 200 lines of 25 KB make three tasks of 64 lines, 1.6 MB each way,
+    # against pipes that hold 64 KiB. The third goes to the first worker
+    # while that worker is still writing the first task's results, so the
+    # main process must read them while it sends.
+    stream = tmp_path / "stream.ndjson"
+    stream.write_bytes(ndjson(minimal(f"d{i}", f"{i} " + "x" * 25_000) for i in range(200)))
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out-{jobs}"
+        code, _, stderr = bounded(CLI + ["resolve", "--in", str(stream), "--out", str(out),
+                                         "--jobs", jobs, "--emit-provenance"],
+                                  60, f"resolve --jobs {jobs} hung on large tasks")
+        assert code == 0, stderr
+        outputs.append((out / "stream.json").read_bytes())
+    assert len(outputs[0]) > 2 * 64 * 25_000
+    assert outputs[1] == outputs[0]
+
+
+def test_a_worker_stops_at_the_end_of_its_task_pipe_or_of_its_result_pipe():
+    tasks, results = os.pipe(), os.pipe()
+    os.close(tasks[1])
+    workers.serve(list, tasks[0], results[1])  # no task: it returns
+    assert os.read(results[0], 1) == b""  # and has closed its end
+    os.close(results[0])
+    tasks, results = os.pipe(), os.pipe()
+    task = marshal.dumps([("text", None)])
+    os.write(tasks[1], len(task).to_bytes(workers._HEADER, "little") + task)
+    os.close(tasks[1])
+    os.close(results[0])
+    with pytest.raises(BrokenPipeError):  # no one reads its results
+        workers.serve(list, tasks[0], results[1])
+
+
+SLOW = """
+import time
+from biocoref import cli
+resolve = cli.resolve_document
+
+def slow(doc, config):
+    time.sleep(0.01)
+    return resolve(doc, config)
+
+cli.resolve_document = slow
+"""
+
+
+def test_no_worker_outlives_a_killed_main_process(tmp_path):
+    stream = tmp_path / "stream.ndjson"
+    stream.write_bytes(ndjson(minimal(f"d{i}") for i in range(2000)))
+    proc = subprocess.Popen([sys.executable, "-c", FORKS + SLOW + MAIN, "resolve",
+                             "--in", str(stream), "--out", str(tmp_path / "out"), "--jobs", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                            start_new_session=True)
+    try:
+        pids = [int(proc.stdout.readline()) for _ in range(2)]
+        time.sleep(0.5)  # tasks are out, each taking 0.64 s
+        assert proc.poll() is None
+        proc.kill()
+        proc.wait()
+        assert_gone(pids)
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.stdout.close()
+
+
+def test_results_read_with_the_end_of_their_pipe_are_kept():
+    # A worker that dies after answering one task: its last results and the
+    # end of its pipe arrive in one read, and the results still count.
+    read, write = os.pipe()
+    os.set_blocking(read, False)
+    worker = workers._Worker(0, -1, read)
+    answered, lost = workers._Task(1), workers._Task(1)
+    worker.held += (answered, lost)
+    results = [(b"{}\n", {"links": 0}, None)]
+    data = marshal.dumps(results)
+    os.write(write, len(data).to_bytes(workers._HEADER, "little") + data + b"\0\0")
+    os.close(write)
+    assert workers.Pool(list)._receive(worker) is False
+    os.close(read)
+    assert answered.results == results and lost.results is None
+    assert list(worker.held) == [lost]

@@ -21,13 +21,21 @@ the text and each record by itself, so that no string of the whole result is
 built: returning a result's bytes takes about two to three times its size on
 top of the model, whatever characters its text holds, and writing them to a
 file as they are encoded takes less than twice.
+
+``load_document`` parses the whole JSON tree, then ``document_from_dict``
+builds the model from it and frees each parsed record, with its token,
+mutation or argument lists, as soon as that record's model record is built.
+The model is smaller than the tree, so loading peaks at ``json.loads``'s own
+peak and never holds the whole tree beside the whole model. Of the memory a
+worker takes for a long document, saving the result now peaks as high as
+loading the input, so it is the next ceiling.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, Iterator
 
 from .model import (
     CompletedEvent,
@@ -92,6 +100,16 @@ def _require_strs(obj: dict, key: str, where: str, optional: bool = False) -> li
 _NO_ITEMS: list = []
 
 
+def _drain(records: list) -> Iterator:
+    """Each item of ``records`` in order, its slot cleared as it is taken, so
+    that a parsed record is freed once the next one is read; the list ends
+    empty."""
+    for i, record in enumerate(records):
+        records[i] = None
+        yield record
+    records.clear()
+
+
 def _parse_object(data: bytes | str) -> dict:
     """The JSON object ``data`` holds; MalformedInput when it holds none."""
     if isinstance(data, bytes):
@@ -124,6 +142,12 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
     A record whose fields all have their exact JSON types is built directly;
     any other record goes through the ``_require*`` checks, which name its
     first fault.
+
+    ``raw`` is consumed: its ``sentences``, ``entities`` and ``events`` lists
+    are emptied record by record as the model is built, so a parsed record
+    is freed once its model record exists and the dict tree is never held
+    beside the whole model. Its other fields are left as they are. A caller
+    that needs the records afterwards passes a copy.
     """
     if schema is None:
         schema = default_schema()
@@ -132,7 +156,7 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
     token_where, sentence_where = f"{doc_id} token", f"{doc_id} sentence"
 
     sentences = []
-    for s in _require_list(raw, "sentences", doc_id):
+    for s in _drain(_require_list(raw, "sentences", doc_id)):
         # A sentence's tokens are read before its own fields.
         fast = (type(s) is dict and type(items := s.get("tokens", _NO_ITEMS)) is list
                 and type(index := s.get("index")) is int
@@ -156,7 +180,7 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
         sentences.append(Sentence(index, sent_start, sent_end, tuple(tokens)))
 
     entities = []
-    for e in _require_list(raw, "entities", doc_id):
+    for e in _drain(_require_list(raw, "entities", doc_id)):
         fast = (type(e) is dict and type(ent_id := e.get("id")) is str
                 and type(start := e.get("start")) is int and type(end := e.get("end")) is int
                 and type(items := e.get("mutations", _NO_ITEMS)) is list
@@ -183,7 +207,7 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
                                       tuple(mutations)))
 
     events = []
-    for ev in _require_list(raw, "events", doc_id):
+    for ev in _drain(_require_list(raw, "events", doc_id)):
         fast = (type(ev) is dict and type(ev_id := ev.get("id")) is str
                 and type(items := ev.get("args", _NO_ITEMS)) is list
                 and type(trigger_start := ev.get("trigger_start")) is int

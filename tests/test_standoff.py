@@ -154,6 +154,32 @@ def test_result_round_trip_field_for_field(resolved_corpus):
         assert list(completed) == res.completed, doc_id
 
 
+@pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
+def test_result_round_trip_with_provenance_after_the_records_are_freed(corpus, line):
+    # load_result reads links and completed events from the dict whose
+    # record lists document_from_dict has emptied.
+    config = resolver.ResolverConfig.default(trace=True)
+    assert len(corpus) == 22
+    linked = completed = 0
+    for doc_id, raw in corpus.items():
+        res = resolver.resolve_document(load_document(json.dumps(raw)), config)
+        data = save_result(res.doc, res.links, res.completed, res.chains, res.trace, line)
+        assert load_result(data) == (res.doc, tuple(res.links), tuple(res.completed)), doc_id
+        linked += bool(res.links)
+        completed += bool(res.completed)
+    assert linked and completed
+
+
+def test_document_from_dict_empties_the_record_lists_it_is_given(corpus):
+    raw = json.loads(json.dumps(corpus["ex12_foxp3"]))
+    raw["links"] = [{"anaphor": "T2", "antecedents": ["T1"], "sieve": "pronominal"}]
+    doc = document_from_dict(raw)
+    assert doc == load_fixture(corpus, "ex12_foxp3") and doc.entities and doc.events
+    assert raw["sentences"] == raw["entities"] == raw["events"] == []
+    assert (raw["doc_id"], raw["text"]) == (doc.doc_id, doc.text)
+    assert raw["links"] == [{"anaphor": "T2", "antecedents": ["T1"], "sieve": "pronominal"}]
+
+
 def test_save_is_deterministic_across_runs(corpus, config):
     # Independent oracle: run the whole pipeline twice and diff the bytes.
     doc_a = load_fixture(corpus, "ex16_baf_emerin")
@@ -427,15 +453,38 @@ def test_traced_output_grows_at_most_2_2_times_per_doubling(seed):
     assert max(growth) <= 2.2, growth
 
 
-@pytest.fixture(scope="module")
-def long_resolution():
-    """A traced 1,600-sentence document with one non-ASCII character in its
-    text, so that any str of the whole result takes two bytes per character."""
+def _long_raw() -> dict:
+    """A 1,600-sentence document with one non-ASCII character in its text,
+    so that any str of the whole text or result takes two bytes per
+    character."""
     raw = synth_doc(random.Random(3), 0, sentences=1600)
     i = raw["text"].index("a")
     raw["text"] = raw["text"][:i] + "\u03b2" + raw["text"][i + 1:]  # offsets unchanged
+    return raw
+
+
+@pytest.fixture(scope="module")
+def long_resolution():
+    """The long document, resolved with a trace."""
     config = resolver.ResolverConfig.default(trace=True)
-    return resolver.resolve_document(document_from_dict(raw, config.schema), config)
+    return resolver.resolve_document(document_from_dict(_long_raw(), config.schema), config)
+
+
+def test_loading_a_long_document_peaks_at_the_parse_of_its_json():
+    # Each parsed record is freed as its model record is built, so the model
+    # never sits beside the whole JSON tree. Bytes, as a worker reads them.
+    data = json.dumps(_long_raw(), ensure_ascii=False).encode()
+    schema = resolver.ResolverConfig.default().schema
+    peaks = []
+    for parse in (json.loads, lambda data: load_document(data, schema)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            parse(data)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks[1] / peaks[0]
 
 
 @pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])

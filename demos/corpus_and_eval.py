@@ -1,31 +1,30 @@
 """Run the bundled corpus end to end and score it.
 
-Writes the example corpus to a temporary directory that it removes again,
-resolves the corpus twice (full pipeline and with every sieve disabled),
-then prints the throughput table.
+Reads the example corpus in ``fixtures/`` next to this script's directory,
+resolves it twice (full pipeline and with every sieve disabled), checks the
+event counts against ``fixtures/manifest.json``, then prints the throughput
+table. It runs from any working directory:
 
     python3 demos/corpus_and_eval.py
 """
 
 import json
-import tempfile
 from pathlib import Path
 
 from biocoref import ResolverConfig, load_document, resolve_document
 from biocoref.evaluation import RunOutput, format_report, throughput
-from biocoref.fixtures import corpus_documents, write_corpus
 from biocoref.resolver import validate_disabled
 
-with tempfile.TemporaryDirectory(prefix="biocoref-demo-") as scratch:
-    written = write_corpus(Path(scratch) / "corpus")
-    print(f"corpus of {len(written)} files written to a temporary directory")
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+manifest = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))
+print(f"corpus of {len(manifest)} documents read from {FIXTURES.name}/")
 
 full_cfg = ResolverConfig.default()
 base_cfg = ResolverConfig.default(disabled_sieves=validate_disabled(["all"]))
 
 system, baseline = [], []
-for doc_id, raw in sorted(corpus_documents().items()):
-    doc = load_document(json.dumps(raw))
+for doc_id, entry in sorted(manifest.items()):
+    doc = load_document((FIXTURES / entry["file"]).read_bytes())
     res = resolve_document(doc, full_cfg)
     system.append(RunOutput(doc_id=doc_id,
                             completed=json.loads(res.to_bytes())["completed_events"]))
@@ -34,6 +33,8 @@ for doc_id, raw in sorted(corpus_documents().items()):
                               completed=json.loads(res_base.to_bytes())["completed_events"]))
 
 counts = throughput(system, baseline)
+assert counts["coref_only"] == sum(entry["coref_events"] for entry in manifest.values())
+assert counts["baseline"] == sum(entry["baseline_events"] for entry in manifest.values())
 print()
 print(format_report(counts))
 print("Every event above the baseline count carries provenance: the anaphor")

@@ -1,17 +1,17 @@
 """Walk one small document through the resolver, printing each stage.
 
-Run from the repository root:
+Reads ``fixtures/ex1b_axin_gbd.json`` next to this script's directory, so it
+runs from any working directory:
 
     python3 demos/resolve_walkthrough.py
 """
 
-import json
+from pathlib import Path
 
 from biocoref import ResolverConfig, load_document, resolve_document
-from biocoref.fixtures import corpus_documents
 
-doc_raw = corpus_documents()["ex1b_axin_gbd"]
-doc = load_document(json.dumps(doc_raw))
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+doc = load_document((FIXTURES / "ex1b_axin_gbd.json").read_bytes())
 
 print("TEXT")
 print(" ", doc.text)

@@ -4,7 +4,6 @@ Subcommands:
     resolve   run the sieve pipeline over a glob of standoff documents
     eval      score resolver output (throughput, precision, error breakdown)
     inspect   print the per-sieve trace for one anaphor in a result file
-    fixtures  write or validate the bundled example corpus
 
 Exit codes: 0 success, 1 one or more documents failed, 2 configuration error.
 Per-run summaries go to stderr as JSON so stdout stays scriptable. ``resolve``
@@ -502,11 +501,19 @@ def cmd_eval(args) -> int:
         counts = throughput(system, baseline, darpa_collapse=args.darpa_collapse)
         precision = breakdown = None
         if args.adjudications:
-            records = load_adjudications(Path(args.adjudications).read_bytes(),
-                                         mutant_mode=args.mutant_mode)
+            adjudications = Path(args.adjudications)
+            try:
+                records = load_adjudications(adjudications.read_bytes(),
+                                             mutant_mode=args.mutant_mode)
+            except EvaluationError as exc:
+                raise EvaluationError(f"{adjudications}: {exc}") from None
             precision = generous_precision(records)
             if any(r.judgment == 0 and r.error_class for r in records):
                 breakdown = error_breakdown(records)
+        report = json_report(counts, precision, breakdown, mutant_mode=args.mutant_mode)
+        if args.report:  # before printing, so a report that cannot be written prints none
+            Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                                         encoding="utf-8")
     except EvaluationError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 2
@@ -514,14 +521,10 @@ def cmd_eval(args) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    report = json_report(counts, precision, breakdown, mutant_mode=args.mutant_mode)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(format_report(counts, precision, breakdown, mutant_mode=args.mutant_mode), end="")
-    if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                     encoding="utf-8")
     return 0
 
 
@@ -572,23 +575,6 @@ def _render_trace_entry(entry: dict) -> list[str]:
     return lines
 
 
-def cmd_fixtures(args) -> int:
-    from . import fixtures as fixtures_mod
-
-    out_dir = Path(args.out)
-    if args.check:
-        problems = fixtures_mod.validate_corpus(out_dir)
-        if problems:
-            for p in problems:
-                print(p, file=sys.stderr)
-            return 1
-        print(f"corpus at {out_dir} is up to date", file=sys.stderr)
-        return 0
-    written = fixtures_mod.write_corpus(out_dir)
-    print(f"wrote {len(written)} files to {out_dir}", file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="biocoref",
                                      description="Sieve-based coreference resolution "
@@ -630,12 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins.add_argument("result", help="result file written with --emit-provenance")
     p_ins.add_argument("anaphor", help="anaphor mention id")
     p_ins.set_defaults(func=cmd_inspect)
-
-    p_fix = sub.add_parser("fixtures", help="write or validate the example corpus")
-    p_fix.add_argument("--out", required=True, help="corpus directory")
-    p_fix.add_argument("--check", action="store_true",
-                       help="validate instead of writing")
-    p_fix.set_defaults(func=cmd_fixtures)
 
     return parser
 

@@ -73,7 +73,10 @@ def load_adjudications(data: bytes | str, mutant_mode: bool = False) -> list[Adj
     Half-point judgments are only legal in mutant mode.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EvaluationError(f"adjudication file is not UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(data))
     try:
         header = next(reader)

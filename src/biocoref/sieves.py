@@ -59,8 +59,6 @@ SIEVE_ORDER = (
     "cleanup",
 )
 
-SIEVE_RANK = {name: i + 1 for i, name in enumerate(SIEVE_ORDER)}
-
 _SURFACE_COMPONENTS = re.compile(r"[\s\-/()]+")
 
 # One search pass: the status recorded when it fails, and an extra test an

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from biocoref import fixtures, resolver, standoff
+from biocoref import resolver, standoff
+
+import fixture_corpus
 
 
 @pytest.fixture(scope="session")
@@ -11,11 +13,11 @@ def config():
 
 @pytest.fixture(scope="session")
 def corpus():
-    return fixtures.corpus_documents()
+    return fixture_corpus.corpus_documents()
 
 @pytest.fixture(scope="session")
 def manifest():
-    return fixtures.corpus_manifest()
+    return fixture_corpus.corpus_manifest()
 
 @pytest.fixture(scope="session")
 def resolved_corpus(corpus, config):

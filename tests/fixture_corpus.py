@@ -1,4 +1,4 @@
-"""Bundled example corpus: 22 curated mini-documents, one per resolver behavior.
+"""Generator of the example corpus: 22 curated mini-documents, one per resolver behavior.
 
 Each document is built programmatically (text, segmentation, standoff
 mentions) so the corpus can be regenerated byte-for-byte. The accompanying
@@ -6,6 +6,12 @@ manifest records the hand-checked expectations: which links must appear,
 which must not, which mentions get dropped, and how many completed events
 are attributable to coreference. The test suite and the throughput
 accounting both treat the manifest as ground truth.
+
+The committed ``fixtures/`` directory is this generator's output, and a test
+checks that it still is. After changing a document or the manifest here,
+regenerate it from the repository root with
+
+    python tests/fixture_corpus.py fixtures/
 """
 
 from __future__ import annotations
@@ -576,19 +582,10 @@ def write_corpus(directory: str | Path) -> list[Path]:
     return written
 
 
-def validate_corpus(directory: str | Path) -> list[str]:
-    """Compare a corpus directory against the generator; report mismatches."""
-    directory = Path(directory)
-    problems = []
-    for doc_id, doc in sorted(corpus_documents().items()):
-        path = directory / f"{doc_id}.json"
-        if not path.exists():
-            problems.append(f"missing {path.name}")
-        elif path.read_bytes() != _dump(doc):
-            problems.append(f"stale {path.name}")
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        problems.append("missing manifest.json")
-    elif manifest_path.read_bytes() != _dump(corpus_manifest()):
-        problems.append("stale manifest.json")
-    return problems
+if __name__ == "__main__":
+    import sys
+
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/fixture_corpus.py DIRECTORY")
+    written = write_corpus(sys.argv[1])
+    print(f"wrote {len(written)} files to {sys.argv[1]}", file=sys.stderr)

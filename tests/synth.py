@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from biocoref.fixtures import Ent, Ev, _doc, _mut
+from fixture_corpus import Ent, Ev, _doc, _mut
 
 PROTEINS = [
     "RAF1", "MEK1", "ERK2", "STAT3", "AKT1", "GSK3B", "BRAF", "JAK2",

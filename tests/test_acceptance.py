@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from biocoref import fixtures, resolver
+from biocoref import resolver
 from biocoref.evaluation import (
     RunOutput,
     error_breakdown,
@@ -24,6 +24,7 @@ from biocoref.evaluation import (
 )
 from biocoref.standoff import load_document
 
+import fixture_corpus
 from conftest import completed_key, expected_key
 from synth import synth_corpus
 from test_properties import check_document
@@ -136,7 +137,7 @@ def test_criterion_3_property_suite(config, tmp_path):
     # Determinism end to end: byte-identical output across two CLI runs,
     # and across worker counts.
     corpus_dir = tmp_path / "corpus"
-    fixtures.write_corpus(corpus_dir)
+    fixture_corpus.write_corpus(corpus_dir)
     outs = {}
     for tag, jobs in (("a", 1), ("b", 1), ("c", 8)):
         out = tmp_path / f"run-{tag}"

@@ -1,11 +1,16 @@
+import filecmp
+import importlib.util
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from biocoref import cli, fixtures
+from biocoref import cli
+
+import fixture_corpus
 from synth import regulation_chain
 
 CLI = [sys.executable, "-m", "biocoref.cli"]
@@ -16,10 +21,9 @@ def run_cli(*args):
 
 
 @pytest.fixture(scope="module")
-def corpus_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("corpus")
-    fixtures.write_corpus(d)
-    return d
+def corpus_dir():
+    """The committed example corpus; tests only read it."""
+    return Path(__file__).resolve().parents[1] / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +67,7 @@ def test_glob_matching_one_file_many_ways_resolves_it_once(tmp_path, corpus_dir)
 
 
 def test_cli_import_leaves_fixtures_and_evaluation_unloaded(tmp_path, corpus_dir):
-    # resolve never uses the first two; cmd_fixtures and cmd_eval import them.
+    # resolve never uses evaluation; cmd_eval imports it.
     # The rest cost start-up time: dataclasses (which imports inspect). A run
     # with workers forks them and talks to them over pipes: it loads neither
     # multiprocessing nor pickle, and starts no thread. Modules the
@@ -71,7 +75,7 @@ def test_cli_import_leaves_fixtures_and_evaluation_unloaded(tmp_path, corpus_dir
     code = f"""
 import sys
 before = set(sys.modules)
-unwanted = {{"biocoref.fixtures", "biocoref.evaluation", "dataclasses", "inspect",
+unwanted = {{"biocoref.evaluation", "dataclasses", "inspect",
             "multiprocessing", "pickle", "threading"}}
 import biocoref.cli
 print(sorted(unwanted & (set(sys.modules) - before)))
@@ -185,7 +189,7 @@ def test_unknown_sieve_name_exits_2(tmp_path, corpus_dir):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_ndjson_stream_input(tmp_path, corpus_dir, jobs):
-    docs = fixtures.corpus_documents()
+    docs = fixture_corpus.corpus_documents()
     stream = tmp_path / "stream.json"  # named .json: a stream is told apart by its content
     lines = [json.dumps(docs["ex12_foxp3"], ensure_ascii=False),
              json.dumps(docs["ex13_rb_e2f"], ensure_ascii=False)]
@@ -224,6 +228,28 @@ def test_eval_with_adjudications_text_table(tmp_path, run_dir):
     assert "Generous precision" in proc.stdout
     assert "66.7%" in proc.stdout
     assert "CoreferenceResolution" in proc.stdout
+
+
+def test_eval_adjudications_not_utf8_exits_2(tmp_path, run_dir):
+    out, _ = run_dir
+    adj = tmp_path / "bad.csv"
+    adj.write_bytes(b"event_id,judgment\nE1,1\xff\n")
+    proc = run_cli("eval", "--system", str(out), "--adjudications", str(adj))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"evaluation error: {adj}: adjudication file is not UTF-8: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("report", ["directory", "missing/report.json"])
+def test_eval_unwritable_report_exits_2(tmp_path, run_dir, report):
+    out, _ = run_dir
+    (tmp_path / "directory").mkdir()
+    proc = run_cli("eval", "--system", str(out), "--report", str(tmp_path / report))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("configuration error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "missing").exists()
 
 
 def test_inspect_linked_vs_dropped_traces(run_dir):
@@ -275,22 +301,22 @@ def test_inspect_requires_provenance(tmp_path, corpus_dir):
     assert "--emit-provenance" in proc.stderr
 
 
-def test_fixtures_check_detects_tampering(tmp_path):
-    d = tmp_path / "fx"
-    proc = run_cli("fixtures", "--out", str(d))
-    assert proc.returncode == 0
-    proc = run_cli("fixtures", "--out", str(d), "--check")
-    assert proc.returncode == 0
-    (d / "ex12_foxp3.json").write_text("{}")
-    proc = run_cli("fixtures", "--out", str(d), "--check")
-    assert proc.returncode == 1
-    assert "stale" in proc.stderr
+def test_repo_fixture_corpus_is_current(tmp_path, corpus_dir):
+    fixture_corpus.write_corpus(tmp_path)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert sorted(p.name for p in corpus_dir.iterdir()) == names
+    match, mismatch, errors = filecmp.cmpfiles(corpus_dir, tmp_path, names, shallow=False)
+    assert mismatch == errors == [], (
+        f"fixtures/ differs from the generator in {mismatch + errors}; regenerate it with "
+        "`python tests/fixture_corpus.py fixtures/`")
+    assert len(match) == 23  # 22 documents and manifest.json
 
 
-def test_repo_fixture_corpus_is_current():
-    from pathlib import Path
-    repo_fixtures = Path(__file__).resolve().parents[1] / "fixtures"
-    assert fixtures.validate_corpus(repo_fixtures) == []
+def test_fixtures_subcommand_is_gone():
+    assert importlib.util.find_spec("biocoref.fixtures") is None
+    proc = run_cli("fixtures", "--out", "fixtures", "--check")
+    assert proc.returncode == 2
+    assert "invalid choice: 'fixtures'" in proc.stderr
 
 
 def write_stream(path, raws):
@@ -300,7 +326,7 @@ def write_stream(path, raws):
 
 @pytest.mark.parametrize("provenance", [False, True])
 def test_stream_output_is_compact_and_jobs_invariant(tmp_path, corpus_dir, provenance):
-    docs = fixtures.corpus_documents()
+    docs = fixture_corpus.corpus_documents()
     names = sorted(docs)
     batch = tmp_path / "batch"
     batch.mkdir()
@@ -327,7 +353,7 @@ def test_stream_output_is_compact_and_jobs_invariant(tmp_path, corpus_dir, prove
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_stream_with_failing_lines_writes_nothing(tmp_path, corpus_dir, jobs):
-    docs = fixtures.corpus_documents()
+    docs = fixture_corpus.corpus_documents()
     raws = [docs[name] for name in sorted(docs)]
     lines = [json.dumps(raw, ensure_ascii=False) for raw in raws]
     lines[3] = json.dumps({"doc_id": "broken"})  # first failing line
@@ -404,7 +430,7 @@ def test_jobs_below_one_exits_2(tmp_path, corpus_dir, jobs):
 
 
 def test_stream_is_told_apart_by_content(tmp_path, corpus_dir):
-    docs = fixtures.corpus_documents()
+    docs = fixture_corpus.corpus_documents()
     shutil.copy(corpus_dir / "ex12_foxp3.json", tmp_path / "a_indented.json")
     (tmp_path / "b_array.json").write_text("[\n1\n]\n")  # loads, but not as an object
     (tmp_path / "c_one_line.json").write_text(json.dumps(docs["ex13_rb_e2f"]) + "\n\n  \n")
@@ -421,7 +447,7 @@ def test_stream_is_told_apart_by_content(tmp_path, corpus_dir):
 
 
 def test_stream_counts_documents_and_eval_rejects_it_cleanly(tmp_path):
-    docs = fixtures.corpus_documents()
+    docs = fixture_corpus.corpus_documents()
     write_stream(tmp_path / "all.ndjson", [docs[name] for name in sorted(docs)])
     out = tmp_path / "out"
     proc = run_cli("resolve", "--in", str(tmp_path / "all.ndjson"), "--out", str(out))

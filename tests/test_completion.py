@@ -2,10 +2,10 @@ import json
 import time
 
 from biocoref import completion, resolver
-from biocoref.fixtures import Ent, Ev, _doc
 from biocoref.standoff import load_document
 
 from conftest import completed_key, load_fixture
+from fixture_corpus import Ent, Ev, _doc
 from synth import regulation_chain
 
 

@@ -16,9 +16,10 @@ import random
 
 import pytest
 
-from biocoref import fixtures
 from biocoref.resolver import ResolverConfig, resolve_document
 from biocoref.standoff import load_document
+
+import fixture_corpus
 from synth import synth_corpus, synth_doc
 
 GOLDEN = {
@@ -54,7 +55,7 @@ GOLDEN_LINE = {
 
 def _corpus(name):
     if name == "fixtures":
-        return list(fixtures.corpus_documents().values())
+        return list(fixture_corpus.corpus_documents().values())
     if name == "synth":
         return synth_corpus(23, 400)
     rng = random.Random(5)

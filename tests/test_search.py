@@ -3,7 +3,6 @@ import json
 import pytest
 
 from biocoref.detection import default_lexicon, detect_candidates
-from biocoref.fixtures import Ent, Ev, _doc
 from biocoref.index import DocIndex
 from biocoref.schema import SchemaMissing, default_schema, load_schema
 from biocoref.search import build_constraints, linear_search
@@ -11,6 +10,7 @@ from biocoref.standoff import load_document
 from biocoref.unionfind import UnionFind
 
 from conftest import load_fixture
+from fixture_corpus import Ent, Ev, _doc
 from synth import regulation_chain
 
 LEX = default_lexicon()

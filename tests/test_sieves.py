@@ -5,10 +5,14 @@ import pytest
 
 from biocoref import detection as det
 from biocoref import resolver, sieves
-from biocoref.fixtures import Ent, Ev, _doc, _mut
 from biocoref.search import ACCEPTED, build_constraints, verdict_for
 from biocoref.standoff import load_document
+
+from fixture_corpus import Ent, Ev, _doc, _mut
 from synth import regulation_chain, synth_corpus, synth_doc
+
+# A link's sieve precedence: its sieve's place in the pipeline, from 1.
+SIEVE_RANK = {name: i + 1 for i, name in enumerate(sieves.SIEVE_ORDER)}
 
 
 def _resolve(raw, disabled=frozenset(), trace=False):
@@ -479,7 +483,6 @@ def test_deep_cleanup_cascade_drops_every_level():
 
 def test_sieve_rank_recorded_on_links(resolved_corpus):
     # A link's rank is SIEVE_RANK of its sieve; links come out in rank order.
-    from biocoref.sieves import SIEVE_RANK
     for _, res in resolved_corpus.values():
         ranks = [SIEVE_RANK[link.sieve_name] for link in res.links]
         assert ranks == sorted(ranks)

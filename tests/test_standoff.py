@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from biocoref import fixtures, resolver
+from biocoref import resolver
 from biocoref.model import (
     CompletedEvent,
     CorefLink,
@@ -21,6 +21,7 @@ from biocoref.model import (
 )
 from biocoref.standoff import document_from_dict, load_document, load_result, save_result
 
+import fixture_corpus
 from conftest import load_fixture
 from synth import synth_corpus, synth_doc
 
@@ -424,7 +425,7 @@ def test_writing_to_a_file_writes_the_bytes_it_returns():
     # The golden corpora of tests/test_golden.py, in both layouts, with and
     # without provenance.
     rng = random.Random(5)
-    docs = (list(fixtures.corpus_documents().values()) + synth_corpus(23, 400)
+    docs = (list(fixture_corpus.corpus_documents().values()) + synth_corpus(23, 400)
             + [synth_doc(rng, i, sentences=n) for i, n in enumerate((150, 300))])
     config = resolver.ResolverConfig.default(trace=True)
     for raw in docs:

@@ -9,9 +9,11 @@ Exit codes: 0 success, 1 one or more documents failed, 2 configuration error.
 Per-run summaries go to stderr as JSON so stdout stays scriptable. ``resolve``
 is one loop on the main thread: it reads the inputs in order and hands their
 documents, each line of an NDJSON stream among them, out to its worker
-processes in tasks. The main process reads a single-document file only to
-tell it from a stream, and keeps none of its text: the task carries the
-file's path, and the worker reads the file again: a file changed in
+processes in tasks. A file is a stream when it has at least two non-empty
+lines and its first non-empty line holds a JSON value by itself, so the
+main process reads a single-document file only up to its second non-empty
+line, parses at most its first, and keeps none of its text: the task
+carries the file's path, and the worker reads the file again: a file changed in
 between is resolved as the worker reads it, and one that no longer reads or
 loads fails only that document. For each single-document file the main
 process first creates the empty ``<out>/.<stem>.json.part`` that the worker
@@ -150,7 +152,6 @@ def _lines(file: BinaryIO, size: int) -> Iterator[str]:
         yield from "".join(head).splitlines()
 
 
-_OBJECT = object()  # what _skim gives for each JSON object
 _NON_SPACE = re.compile(r"\S")
 
 
@@ -182,55 +183,29 @@ def _two_lines(texts: Iterable[str]) -> bool:
     return False
 
 
-def _skim(text: str) -> object:
-    """``json.loads(text)`` with each JSON object in it replaced by _OBJECT:
-    what ``text`` holds, found without building a tree of it."""
-    return json.loads(text, object_pairs_hook=lambda pairs: _OBJECT)
-
-
-def _documents(file: BinaryIO, buffer: bytearray) -> Iterator[tuple[int, str]] | None:
+def _documents(file: BinaryIO, size: int) -> Iterator[tuple[int, str]] | None:
     """An NDJSON stream's documents as ``(line, text)``, its non-empty lines
     numbered from 1 as ``str.splitlines`` counts lines, or None when the
-    file is one document. A file is a stream when it does not load as one
-    JSON object and has at least two non-empty lines. The file is read into
-    ``buffer``, or, when it fills the buffer, ``len(buffer)`` bytes at a time.
-
-    A file that fills the buffer is first scanned for two non-empty lines.
-    With fewer it is one document, and no text of it is kept. If its first
-    non-empty line holds a JSON value by itself, the file cannot be one
-    object: it is read lazily as a stream. Any other file is read whole to
-    apply the rule; it is parsed only when it has two non-empty lines, and
-    split into lines only when it is not one object."""
-    size = file.readinto(buffer)
-    if size == len(buffer):
-        file.seek(0)
-        if not _two_lines(_chunks(file, size)):
-            return None
-        file.seek(0)
-        lines = ((n, line) for n, line in enumerate(_lines(file, size), 1) if line.strip())
-        first, second = next(lines, None), next(lines, None)
-        if second is None:  # the file changed since it was scanned
-            return None
-        try:
-            _skim(first[1])
-        except (ValueError, RecursionError):
-            pass
-        else:
-            return chain((first, second), lines)
-        file.seek(0)
-        text = file.read().decode("utf-8")
-    else:
-        text = str(memoryview(buffer)[:size], "utf-8")
-    if not _two_lines((text,)):
+    file is one document. A file is a stream when it has at least two
+    non-empty lines and its first non-empty line holds a JSON value by
+    itself. The file is read ``size`` bytes at a time: first scanned for two
+    non-empty lines, which keeps no text, and only then read again for its
+    first non-empty line, the one line parsed here. A stream's other lines
+    are read as they are taken."""
+    if not _two_lines(_chunks(file, size)):
         return None
+    file.seek(0)
+    lines = ((n, line) for n, line in enumerate(_lines(file, size), 1) if line.strip())
+    first = next(lines, (0, ""))  # "" when the file was emptied since it was scanned
     try:
-        # A document parsed here is parsed again by its worker; a stream's
-        # parse stops after its first line.
-        if _skim(text) is _OBJECT:
-            return None
+        # Each object parsed becomes None, so no tree of a document is built.
+        json.loads(first[1], object_pairs_hook=lambda pairs: None)
     except (ValueError, RecursionError):  # RecursionError: nesting too deep
-        pass
-    return iter([(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()])
+        return None
+    second = next(lines, None)
+    if second is None:  # the file changed since it was scanned
+        return None
+    return chain((first, second), lines)
 
 
 def _task_size(documents: int, jobs: int) -> int:
@@ -269,7 +244,7 @@ def _tasks(paths: list[str], jobs: int, out_dir: str,
     stream lines, or the share ``_task_size`` gives of single-document files
     if that is fewer. A stream line's ``source`` is its text and its
     ``part`` None. A single document's ``source`` is its file's path, read
-    here only to tell it from a stream, and its ``part`` is its output's
+    here only up to its second non-empty line, and its ``part`` is its output's
     part in ``out_dir``, created empty here and added to ``created`` before
     it is handed out. ``where`` places them, in input order: ``(input, line,
     False, None)`` for each document, ``input`` being its file's index in
@@ -282,12 +257,11 @@ def _tasks(paths: list[str], jobs: int, out_dir: str,
     task: list[tuple[str, str | None]] = []
     where: list[tuple[int, int | None, bool, str | None]] = []
     singles = min(_WINDOW, _task_size(len(paths), jobs))
-    buffer = bytearray(_READ_SIZE)  # every file is first read into it
     for index, path in enumerate(paths):
         error = None
         try:
             with open(path, "rb") as file:
-                lines = _documents(file, buffer)
+                lines = _documents(file, _READ_SIZE)
                 size = singles if lines is None else _WINDOW
                 for line, source in lines or [(None, path)]:
                     if len(task) >= size:

@@ -162,9 +162,6 @@ def resolve_document(doc: Document, config: ResolverConfig,
                                 and (c.mention_id in dropped_mentions
                                      or c.mention_id in dropped_events)),
         "resolved_by_sieve": resolved_by_sieve,
-        "links": len(state.links),
-        "chains": len(chains),
-        "events_in": len(doc.events),
         "events_completed": len(completed),
         "events_coref_derived": sum(1 for c in completed if c.provenance),
         "events_dropped": len(dropped_events),

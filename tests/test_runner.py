@@ -18,6 +18,7 @@ import pytest
 from biocoref import cli, workers
 from biocoref.resolver import resolve_document
 from biocoref.standoff import load_document
+from synth import synth_doc
 
 CLI = [sys.executable, "-m", "biocoref.cli"]
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -70,41 +71,58 @@ STREAM_RULE = [
     ("stream with blank lines", f"\n{LINE}\n\r\n  \n{LINE}", True),
     ("indented document", json.dumps(minimal("d"), indent=2) + "\n", False),
     ("one line then blank lines", f"{LINE}\n\n  \n\t\n", False),
-    ("multi-line array", "[\n1,\n2\n]\n", True),
-    ("garbage first line", f"{{not json\n{LINE}\n", True),
+    ("multi-line array", "[\n1,\n2\n]\n", False),
+    ("garbage first line", f"{{not json\n{LINE}\n", False),
     ("raw U+2028 in a string",
      json.dumps(minimal("d", "a\u2028b"), ensure_ascii=False) + "\n", False),
 ]
 
 
 def documents(data, size):
-    """``_documents`` of ``data`` read through a buffer of ``size`` bytes:
-    a stream's numbered lines as a list, or None for one document."""
-    docs = cli._documents(io.BytesIO(data), bytearray(size))
+    """``_documents`` of ``data`` read ``size`` bytes at a time: a stream's
+    numbered lines as a list, or None for one document."""
+    docs = cli._documents(io.BytesIO(data), size)
     return None if docs is None else list(docs)
 
 
 @pytest.mark.parametrize("text, stream", [case[1:] for case in STREAM_RULE],
                          ids=[case[0] for case in STREAM_RULE])
-def test_lazy_stream_rule_agrees_with_the_whole_file_rule(text, stream):
+def test_stream_rule_is_the_same_at_every_read_size(text, stream):
     data = text.encode("utf-8")
-    # A 4-byte buffer reads every file lazily first; 1 MiB reads it whole.
-    found = {size: documents(data, size) for size in (4, 1 << 20)}
-    assert found[4] == found[1 << 20]
+    # 4-byte reads split every line; one 64 KiB read takes each file whole.
+    found = {size: documents(data, size) for size in (4, 1 << 16)}
+    assert found[4] == found[1 << 16]
     want = ([(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
             if stream else None)
     assert found[4] == want
 
 
-def reference_rule(data):
-    """The stream rule as ``_documents`` once applied it to a file read
-    whole: split the text into its non-empty lines, then build the whole
-    JSON tree to see whether it is one object."""
+def _numbered(data):
     text = data.decode("utf-8")
-    numbered = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    return [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+
+
+def reference_rule(data):
+    """The stream rule on the whole text: split it into its non-empty lines;
+    with at least two, it is a stream when its first line loads as JSON."""
+    numbered = _numbered(data)
     if len(numbered) >= 2:
         try:
-            stream = not isinstance(json.loads(text), dict)
+            json.loads(numbered[0][1])
+        except (ValueError, RecursionError):
+            return None
+        return numbered
+    return None
+
+
+def old_rule(data):
+    """The stream rule that the first-line rule replaced: with at least two
+    non-empty lines, a file is a stream when its whole text does not load
+    as one JSON object."""
+    numbered = _numbered(data)
+    if len(numbered) >= 2:
+        try:
+            stream = not isinstance(json.loads(data.decode("utf-8")), dict)
         except (ValueError, RecursionError):
             stream = True
         if stream:
@@ -137,18 +155,65 @@ def test_stream_rule_agrees_with_the_rule_that_built_the_tree(text):
         assert documents(data, size) == reference_rule(data), size
 
 
-def test_stream_rule_agrees_with_the_reference_on_random_texts():
-    rng = random.Random(10)
+def random_texts(seed, count=2000):
+    """``count`` short UTF-8 texts of JSON pieces, words and line ends."""
+    rng = random.Random(seed)
     atoms = WORDS + SEPARATORS + [LINE, "[", "]", "1", "{", "}", '"a":', ","]
-    for _ in range(2000):
-        data = "".join(rng.choice(atoms) for _ in range(rng.randrange(12))).encode("utf-8")
+    for _ in range(count):
+        yield "".join(rng.choice(atoms) for _ in range(rng.randrange(12))).encode("utf-8")
+
+
+def test_stream_rule_agrees_with_the_reference_on_random_texts():
+    for data in random_texts(10):
         assert documents(data, cli._READ_SIZE) == reference_rule(data), data
+
+
+def loads(text):
+    try:
+        load_document(text)
+    except Exception:  # any exception fails the document, as in resolve
+        return False
+    return True
+
+
+def fails(data, numbered):
+    """Whether ``data`` read as ``numbered`` fails: as one document that
+    does not load (None), or as a stream with a line that does not load."""
+    if numbered is None:
+        return not loads(data.decode("utf-8"))
+    return not all(loads(line) for _, line in numbered)
+
+
+def test_the_first_line_rule_changes_no_outcome():
+    # Every input that the first-line rule and the old rule tell apart
+    # differently fails under both, so no result and no count changes; only
+    # the failure record does.
+    inputs = [case[1].encode("utf-8") for case in STREAM_RULE + ONE_OBJECT_RULE]
+    inputs += [data for seed in range(10, 15) for data in random_texts(seed)]
+    differ = 0
+    for data in inputs:
+        old = old_rule(data)
+        for size in (4, cli._READ_SIZE):
+            new = documents(data, size)
+            if new != old:
+                differ += 1
+                assert fails(data, old) and fails(data, new), (data, size)
+    assert differ > 0
+
+
+def test_an_indented_document_is_not_read_whole():
+    text = json.dumps(synth_doc(random.Random(3), 0, sentences=1000), indent=2)
+    data = text.encode("utf-8")
+    assert len(data) > 900_000 and text.splitlines()[0] == "{"
+    file = io.BytesIO(data)
+    assert cli._documents(file, 4096) is None
+    assert file.tell() <= 2 * 4096
 
 
 def test_a_stream_is_read_as_its_documents_are_taken():
     data = ndjson(minimal(f"d{i}") for i in range(1000))
     file = io.BytesIO(data)
-    docs = cli._documents(file, bytearray(256))
+    docs = cli._documents(file, 256)
     assert next(docs) == (1, json.dumps(minimal("d0")))
     assert file.tell() <= 512 < len(data)
 
@@ -404,6 +469,23 @@ def test_undecodable_line_fails_only_its_stream(tmp_path, jobs):
     assert sorted(p.name for p in out.iterdir()) == ["a_ok.json", "c_ok.json"]
 
 
+def test_a_document_undecodable_past_the_first_read_fails_in_its_worker(tmp_path):
+    # The main process reads the indented file only as far as its second
+    # line, so the worker meets the bad byte and reports it as MalformedInput.
+    data = json.dumps(minimal("d", "x" * 2 * cli._READ_SIZE), indent=2).encode()
+    data = data[:-20] + b"\xff" + data[-19:]
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    (tmp_path / "bad.json").write_bytes(data)
+    out = tmp_path / "out"
+    proc = subprocess.run(CLI + ["resolve", "--in", str(tmp_path / "*.json"), "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert summary_of(proc.stderr)["failed"] == [{"file": str(tmp_path / "bad.json"),
+                                                  "error": f"MalformedInput: {whole.value}"}]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("strict", [[], ["--strict"]])
 def test_failing_single_document_leaves_no_part_file(tmp_path, strict):
     # 41 files make tasks of 6 at --jobs 2, so the parts of four tasks are
@@ -563,7 +645,7 @@ def test_results_read_with_the_end_of_their_pipe_are_kept():
     worker = workers._Worker(0, -1, read)
     answered, lost = workers._Task(1), workers._Task(1)
     worker.held += (answered, lost)
-    results = [(b"{}\n", {"links": 0}, None)]
+    results = [(b"{}\n", {"events_dropped": 0}, None)]
     data = marshal.dumps(results)
     os.write(write, len(data).to_bytes(workers._HEADER, "little") + data + b"\0\0")
     os.close(write)

@@ -9,16 +9,19 @@ Exit codes: 0 success, 1 one or more documents failed, 2 configuration error.
 Per-run summaries go to stderr as JSON so stdout stays scriptable. ``resolve``
 is one loop on the main thread: it reads the inputs in order and hands their
 documents, each line of an NDJSON stream among them, out to its worker
-processes in tasks. A file is a stream when it has at least two non-empty
-lines and its first non-empty line holds a JSON value by itself, so the
-main process reads a single-document file only up to its second non-empty
-line, parses at most its first, and keeps none of its text: the task
-carries the file's path, and the worker reads the file again: a file changed in
-between is resolved as the worker reads it, and one that no longer reads or
-loads fails only that document. For each single-document file the main
-process first creates the empty ``<out>/.<stem>.json.part`` that the worker
-writes the result into; a stream line travels as its text, and its result
-comes back as bytes, which the main process writes to the stream's part.
+processes in tasks. The main process reads every input as bytes. Lines end
+at ``"\\n"`` only, as JSON Lines and NDJSON say, and a line is empty when it
+holds only JSON whitespace. A file is a stream when it has at least two
+non-empty lines and its first non-empty line holds a JSON value by itself,
+so the main process reads a single-document file only up to its second
+non-empty line, decodes and parses at most its first, and keeps none of
+its text: the task carries the file's path, and the worker reads the file
+again: a file changed in between is resolved as the worker reads it, and
+one that no longer reads, decodes or loads fails only that document. For
+each single-document file the main process first creates the empty
+``<out>/.<stem>.json.part`` that the worker writes the result into; a
+stream line travels as its bytes, undecoded, and its result comes back as
+bytes, which the main process writes to the stream's part.
 Once a task's results are back, it moves each complete part onto
 ``<out>/<stem>.json``, in input order. With at most two tasks per worker out
 at a time, the main process holds a bounded window of stream lines, no
@@ -30,7 +33,6 @@ stop, every part created and not moved is unlinked.
 from __future__ import annotations
 
 import argparse
-import codecs
 import glob as globlib
 import json
 import math
@@ -57,7 +59,6 @@ from .standoff import load_document
 _WINDOW = 64
 _TASKS_PER_JOB = 2
 _READ_SIZE = 1 << 16  # bytes per read of an input file
-_LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines ends lines
 # The summary's counts that sum the per-document counters.
 _SUMMED = ("anaphors_detected", "anaphors_resolved", "anaphors_dropped",
            "events_completed", "events_coref_derived", "events_dropped")
@@ -72,15 +73,16 @@ def _build_config(args) -> ResolverConfig:
                           disabled_sieves=disabled, trace=args.emit_provenance)
 
 
-def _resolve_task(task: list[tuple[str, str | None]], config: ResolverConfig) -> list:
+def _resolve_task(task: list[tuple[str | bytes, str | None]], config: ResolverConfig) -> list:
     """``(output, counters, None)`` for each ``(source, part)`` document of
     one task, in order, or ``(None, None, error)`` for one that cannot be
     resolved, whatever the cause. A single document's ``source`` is its
     file's path, read here, and its ``part`` the path of the empty file the
     main process created for it: its indented result is written into it and
-    ``output`` is None. A stream line's ``source`` is its text and it has no
-    part: ``output`` is its compact NDJSON line. Each document is taken out
-    of ``task`` as it is resolved, so its text is dropped once it is loaded."""
+    ``output`` is None. A stream line travels as its bytes: its ``source``
+    is the line, decoded here, and it has no part: ``output`` is its compact
+    NDJSON line. Each document is taken out of ``task`` as it is resolved,
+    so its bytes are dropped once it is loaded."""
     results = []
     for i in range(len(task)):
         source, part = task[i]
@@ -106,101 +108,52 @@ def _resolve_task(task: list[tuple[str, str | None]], config: ResolverConfig) ->
     return results
 
 
-def _chunks(file: BinaryIO, size: int) -> Iterator[str]:
-    """The text of a UTF-8 file read from its start, ``size`` bytes at a
-    time, one decoded piece per read."""
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    read = 0
-    while True:
-        data = file.read(size)
-        read += len(data)
-        try:
-            text = decode(data, final=not data)
-        except UnicodeDecodeError:
-            # The decoder numbers bytes from the start of its last input.
-            # Decoding the file up to here raises the same error numbered
-            # from the start of the file, as reading it whole does.
-            file.seek(0)
-            file.read(read).decode("utf-8")
-            raise
-        if not data:
-            return
-        yield text
+_NON_SPACE = re.compile(rb"[^ \t\r\n]")  # a byte other than JSON whitespace
 
 
-def _lines(file: BinaryIO, size: int) -> Iterator[str]:
-    """The lines of a UTF-8 file, without their ends, exactly as
-    ``str.splitlines`` splits its whole text, read ``size`` bytes at a time."""
-    head: list[str] = []  # the text after the last line end read
-    for text in _chunks(file, size):
-        pieces = text.splitlines(keepends=True)
-        if not pieces:
-            continue
-        if head:
-            head.append(pieces[0])
-            if len(pieces) == 1 and pieces[0][-1] not in _LINE_ENDS:
-                continue
-            pieces[:1] = "".join(head).splitlines(keepends=True)
-            head = []
-        # An unended last line, or one ended by a "\r" that the next read may
-        # show to be the start of "\r\n", waits for more text.
-        if pieces[-1][-1] not in _LINE_ENDS or pieces[-1][-1] == "\r":
-            head = [pieces.pop()]
-        for piece in pieces:
-            yield piece[:-2] if piece[-2:] == "\r\n" else piece[:-1]
-    if head:
-        yield from "".join(head).splitlines()
-
-
-_NON_SPACE = re.compile(r"\S")
-
-
-def _two_lines(texts: Iterable[str]) -> bool:
-    """Whether the text made of ``texts`` has at least two non-empty lines,
-    as ``str.splitlines`` and ``str.strip`` see them: a non-space character,
-    a line end after it, and a non-space character after that. Each piece is
-    searched and dropped; no line is built."""
+def _two_lines(file: BinaryIO, size: int) -> bool:
+    """Whether ``file``, read from where it is ``size`` bytes at a time, has
+    at least two non-empty lines: a byte other than JSON whitespace, a
+    ``b"\\n"`` after it, and another such byte after that. Each read is
+    searched and dropped; nothing is decoded or kept."""
     seen = 0  # how many of the three have been found
-    for text in texts:
+    while data := file.read(size):
         start = 0
         if seen == 0:
-            first = _NON_SPACE.search(text)
+            first = _NON_SPACE.search(data)
             if first is None:
                 continue
             start, seen = first.end(), 1
         if seen == 1:
-            # The first line end from ``start``; each search stops at the nearest found so far.
-            end = len(text)
-            for char in _LINE_ENDS:
-                found = text.find(char, start, end)
-                if found >= 0:
-                    end = found
-            if end == len(text):
+            start = data.find(b"\n", start)
+            if start < 0:
                 continue
-            start, seen = end, 2
-        if _NON_SPACE.search(text, start) is not None:
+            seen = 2
+        if _NON_SPACE.search(data, start) is not None:
             return True
     return False
 
 
-def _documents(file: BinaryIO, size: int) -> Iterator[tuple[int, str]] | None:
-    """An NDJSON stream's documents as ``(line, text)``, its non-empty lines
-    numbered from 1 as ``str.splitlines`` counts lines, or None when the
-    file is one document. A file is a stream when it has at least two
+def _documents(file: BinaryIO, size: int) -> Iterator[tuple[int, bytes]] | None:
+    """An NDJSON stream's documents as ``(line, bytes)``, or None when the
+    file is one document. Lines end at ``b"\\n"``, and a ``b"\\r"`` before
+    it is dropped; they are numbered from 1, and a line that holds only JSON
+    whitespace is skipped. A file is a stream when it has at least two
     non-empty lines and its first non-empty line holds a JSON value by
-    itself. The file is read ``size`` bytes at a time: first scanned for two
-    non-empty lines, which keeps no text, and only then read again for its
-    first non-empty line, the one line parsed here. A stream's other lines
-    are read as they are taken."""
-    if not _two_lines(_chunks(file, size)):
+    itself. The file is first scanned for two non-empty lines, ``size``
+    bytes at a time, which keeps no text; only then is its first non-empty
+    line read again, and it is the one line decoded and parsed here. A
+    stream's other lines are read as they are taken."""
+    if not _two_lines(file, size):
         return None
     file.seek(0)
-    lines = ((n, line) for n, line in enumerate(_lines(file, size), 1) if line.strip())
-    first = next(lines, (0, ""))  # "" when the file was emptied since it was scanned
+    lines = ((n, line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n"))
+             for n, line in enumerate(file, 1) if _NON_SPACE.search(line))
+    first = next(lines, (0, b""))  # empty when the file was emptied since it was scanned
     try:
         # Each object parsed becomes None, so no tree of a document is built.
-        json.loads(first[1], object_pairs_hook=lambda pairs: None)
-    except (ValueError, RecursionError):  # RecursionError: nesting too deep
+        json.loads(first[1].decode("utf-8"), object_pairs_hook=lambda pairs: None)
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
         return None
     second = next(lines, None)
     if second is None:  # the file changed since it was scanned
@@ -242,19 +195,19 @@ def _tasks(paths: list[str], jobs: int, out_dir: str,
     """Read the input files in order and yield their documents, in order, as
     ``(task, where)``: ``task`` holds ``(source, part)`` for at most _WINDOW
     stream lines, or the share ``_task_size`` gives of single-document files
-    if that is fewer. A stream line's ``source`` is its text and its
-    ``part`` None. A single document's ``source`` is its file's path, read
-    here only up to its second non-empty line, and its ``part`` is its output's
-    part in ``out_dir``, created empty here and added to ``created`` before
-    it is handed out. ``where`` places them, in input order: ``(input, line,
-    False, None)`` for each document, ``input`` being its file's index in
-    ``paths``, and ``(input, None, True, error)`` after a file's documents,
-    ``error`` being the error that reading the file or creating its part
-    raised, or None. A file's end goes in the ``where`` of the last document
+    if that is fewer. A stream line travels as its bytes: its ``source`` is
+    the line, undecoded, and its ``part`` None. A single document's
+    ``source`` is its file's path, read here only up to its second non-empty
+    line, and its ``part`` is its output's part in ``out_dir``, created empty
+    here and added to ``created`` before it is handed out. ``where`` places
+    them, in input order: ``(input, line, False, None)`` for each document,
+    ``input`` being its file's index in ``paths``, and ``(input, None, True,
+    error)`` after a file's documents, ``error`` being the error that
+    reading the file or creating its part raised, or None. A file's end goes in the ``where`` of the last document
     read before it, or of the first task if there is none; when no file has
     a document, that task is empty. A stream that fails part way has handed
     out its first documents already."""
-    task: list[tuple[str, str | None]] = []
+    task: list[tuple[str | bytes, str | None]] = []
     where: list[tuple[int, int | None, bool, str | None]] = []
     singles = min(_WINDOW, _task_size(len(paths), jobs))
     for index, path in enumerate(paths):
@@ -274,7 +227,7 @@ def _tasks(paths: list[str], jobs: int, out_dir: str,
                         created.add(part)
                     task.append((source, part))
                     where.append((index, line, False, None))
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:
             error = f"{type(exc).__name__}: {exc}"
         where.append((index, None, True, error))
     if where:

@@ -109,8 +109,17 @@ def load_lexicon(data: bytes | str) -> TriggerDictionary:
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"lexicon config: {exc}") from None
+    if not isinstance(raw, dict):
+        raise SchemaViolation("lexicon config: top level must be an object")
+    for key in ("event_triggers", "class_lexicon", "pronouns"):
+        if not isinstance(raw.setdefault(key, {}), dict):
+            raise SchemaViolation(f"lexicon config: {key} must be an object")
+    for key in ("mutant_nouns", "mutation_kind_nouns", "stopwords"):
+        words = raw.setdefault(key, [])
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise SchemaViolation(f"lexicon config: {key} must be a list of strings")
     pronouns = {}
-    for surface, number in raw.get("pronouns", {}).items():
+    for surface, number in raw["pronouns"].items():
         if number == "One":
             pronouns[surface.lower()] = Cardinality.one()
         elif number == "AtLeastTwo":
@@ -118,12 +127,12 @@ def load_lexicon(data: bytes | str) -> TriggerDictionary:
         else:
             raise SchemaViolation(f"lexicon config: pronoun {surface!r} has bad number {number!r}")
     lex = TriggerDictionary(
-        event_triggers={k.lower(): v for k, v in raw.get("event_triggers", {}).items()},
-        class_lexicon={k.lower(): v for k, v in raw.get("class_lexicon", {}).items()},
+        event_triggers={k.lower(): v for k, v in raw["event_triggers"].items()},
+        class_lexicon={k.lower(): v for k, v in raw["class_lexicon"].items()},
         pronouns=pronouns,
-        mutant_nouns=frozenset(w.lower() for w in raw.get("mutant_nouns", ())),
-        mutation_kind_nouns=frozenset(w.lower() for w in raw.get("mutation_kind_nouns", ())),
-        stopwords=frozenset(w.lower() for w in raw.get("stopwords", ())),
+        mutant_nouns=frozenset(w.lower() for w in raw["mutant_nouns"]),
+        mutation_kind_nouns=frozenset(w.lower() for w in raw["mutation_kind_nouns"]),
+        stopwords=frozenset(w.lower() for w in raw["stopwords"]),
     )
     overlap = lex.stopwords & (
         set(lex.event_triggers) | set(lex.class_lexicon) | set(lex.pronouns) | set(lex.mutant_nouns)

@@ -72,10 +72,15 @@ def load_schema(data: bytes | str) -> ArgSchema:
             raise SchemaViolation(f"schema config: {event_type} needs at least one role")
         specs: dict[str, RoleSpec] = {}
         for role, spec in roles.items():
+            bad = f"schema config: bad role spec {event_type}.{role}"
+            if not isinstance(spec, dict):
+                raise SchemaViolation(f"{bad}: must be an object")
             classes = spec.get("classes")
             count = spec.get("count")
-            if not isinstance(classes, list) or not isinstance(count, int) or count < 0:
-                raise SchemaViolation(f"schema config: bad role spec {event_type}.{role}")
+            if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+                raise SchemaViolation(f"{bad}: classes must be a list of strings")
+            if type(count) is not int or count < 0:  # a bool is an int, but not a count
+                raise SchemaViolation(f"{bad}: count must be an integer of at least 0")
             specs[role] = RoleSpec(frozenset(classes), count)
         types[event_type] = specs
     return ArgSchema(types)

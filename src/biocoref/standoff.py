@@ -1,6 +1,10 @@
 """Reading and writing the standoff JSON interchange format.
 
-Input schema (one document per file, or one per line in an NDJSON stream):
+Input schema (one document per file, or one per line of an NDJSON stream,
+whose lines end at ``"\\n"`` only, so a string may hold U+0085, U+2028 or
+U+2029 raw, as JSON allows and as the results written here do; each line
+reaches ``load_document`` as its bytes, and a decode error is its
+``MalformedInput``):
 
     { "doc_id": str, "text": str,
       "sentences": [ {"index": int, "start": int, "end": int,

@@ -96,6 +96,17 @@ def test_resolve_bad_config_exits_2(tmp_path, corpus_dir):
                    "--schema", str(tmp_path / "missing-schema.json"))
     assert proc.returncode == 2
     assert "configuration error" in proc.stderr
+    # A config of the wrong shape is refused by name.
+    for option, config, message in [
+            ("--lexicon", [1], "lexicon config: top level must be an object"),
+            ("--schema", {"Binding": {"theme": ["Protein"]}},
+             "schema config: bad role spec Binding.theme: must be an object")]:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("resolve", "--in", str(corpus_dir / "ex12_foxp3.json"),
+                       "--out", str(tmp_path / "out"), option, str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"configuration error: {message}\n"
 
 
 def test_resolve_bad_document_exits_1(tmp_path):
@@ -349,6 +360,44 @@ def test_stream_output_is_compact_and_jobs_invariant(tmp_path, corpus_dir, prove
     for name, line in zip(names, lines):
         result = json.loads(files[f"{name}.json"])
         assert line == json.dumps(result, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+RAW_LINE_ENDS = ["\x85", "\u2028", "\u2029"]  # line ends to str.splitlines, not to NDJSON
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_stream_whose_texts_hold_unicode_line_ends_resolves(tmp_path, jobs):
+    # JSON keeps U+0085, U+2028 and U+2029 raw in a string, and so does
+    # resolve; only "\n" ends a line of a stream.
+    docs = fixture_corpus.corpus_documents()
+    names = sorted(docs)
+    singles = tmp_path / "singles"
+    singles.mkdir()
+    lines = []
+    for name in names:
+        raw = docs[name]
+        for char in RAW_LINE_ENDS:  # one character for another: no offset moves
+            raw["text"] = raw["text"].replace(" ", char, 1)
+        assert all(char in raw["text"] for char in RAW_LINE_ENDS), name
+        (singles / f"{name}.json").write_text(json.dumps(raw, ensure_ascii=False),
+                                              encoding="utf-8")
+        lines.append(json.dumps(raw, ensure_ascii=False))
+    outputs = {}
+    for name, end in [("singles", None), ("lf", "\n"), ("crlf", "\r\n")]:
+        inputs = singles / "*.json"
+        if end is not None:
+            inputs = tmp_path / f"{name}.ndjson"
+            inputs.write_bytes("".join(line + end for line in lines).encode("utf-8"))
+        out = tmp_path / f"out-{name}"
+        proc = run_cli("resolve", "--in", str(inputs), "--out", str(out), "--jobs", jobs)
+        assert proc.returncode == 0, proc.stderr
+        outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outputs["crlf"] == {"crlf.json": outputs["lf"]["lf.json"]}
+    results = outputs["lf"]["lf.json"].split(b"\n")
+    assert results.pop() == b"" and len(results) == len(names)
+    assert all(char.encode("utf-8") in outputs["lf"]["lf.json"] for char in RAW_LINE_ENDS)
+    for name, result in zip(names, results):
+        assert json.loads(result) == json.loads(outputs["singles"][f"{name}.json"]), name
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

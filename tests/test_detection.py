@@ -12,7 +12,7 @@ from biocoref.detection import (
     load_lexicon,
 )
 from biocoref.model import SchemaViolation
-from biocoref.schema import default_schema
+from biocoref.schema import default_schema, load_schema
 from biocoref.standoff import load_document
 
 from conftest import load_fixture
@@ -128,6 +128,25 @@ def test_lexicon_rejects_stopword_overlap():
     })
     with pytest.raises(SchemaViolation, match="overlap"):
         load_lexicon(bad)
+
+
+@pytest.mark.parametrize("load, config, message", [
+    (load_lexicon, [1], "lexicon config: top level must be an object"),
+    (load_lexicon, {"pronouns": ["it"]}, "lexicon config: pronouns must be an object"),
+    (load_lexicon, {"stopwords": "the"}, "lexicon config: stopwords must be a list of strings"),
+    (load_lexicon, {"mutant_nouns": [1]}, "lexicon config: mutant_nouns must be a list of strings"),
+    (load_schema, {"Binding": {"theme": ["Protein"]}},
+     "schema config: bad role spec Binding.theme: must be an object"),
+    (load_schema, {"Binding": {"theme": {"classes": [1], "count": 1}}},
+     "schema config: bad role spec Binding.theme: classes must be a list of strings"),
+    (load_schema, {"Binding": {"theme": {"classes": ["Protein"], "count": True}}},
+     "schema config: bad role spec Binding.theme: count must be an integer of at least 0"),
+], ids=["lexicon list", "pronouns list", "stopwords string", "mutant noun number",
+        "role spec list", "class number", "count bool"])
+def test_config_of_the_wrong_shape_is_refused_by_name(load, config, message):
+    with pytest.raises(SchemaViolation) as exc:
+        load(json.dumps(config))
+    assert str(exc.value) == message
 
 
 def test_default_lexicon_keeps_class_nouns_out_of_stopwords(lex):

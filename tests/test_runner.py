@@ -6,6 +6,7 @@ import json
 import marshal
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -39,32 +40,6 @@ def summary_of(stderr):
     return json.loads(stderr.strip().splitlines()[-1])
 
 
-def test_lines_match_splitlines_across_read_boundaries():
-    rng = random.Random(8)
-    texts = ["ab\r\ncd", "ab\r", "\r\n\r\n", "x\r\r\ny", "\u03b2\u2028\u03b3", "\U0001f9ec\n", ""]
-    texts += ["".join(rng.choice(WORDS + SEPARATORS) for _ in range(rng.randrange(40)))
-              for _ in range(400)]
-    for text in texts:
-        data = text.encode("utf-8")
-        for size in (1, 2, 3, 5, 64):
-            # Every line, empty ones too, so that line numbers agree as well.
-            assert list(cli._lines(io.BytesIO(data), size)) == text.splitlines(), (text, size)
-
-
-def test_decode_errors_name_the_byte_by_its_place_in_the_file():
-    rng = random.Random(9)
-    for _ in range(200):
-        text = "".join(rng.choice(WORDS + SEPARATORS) for _ in range(rng.randrange(1, 40)))
-        data = bytearray(text.encode("utf-8"))
-        data.insert(rng.randrange(len(data) + 1), rng.choice([0xff, 0x80, 0xe2]))
-        with pytest.raises(UnicodeDecodeError) as whole:
-            bytes(data).decode("utf-8")
-        for size in (1, 3, 7):
-            with pytest.raises(UnicodeDecodeError) as read:
-                list(cli._lines(io.BytesIO(bytes(data)), size))
-            assert str(read.value) == str(whole.value)
-
-
 LINE = json.dumps(minimal("d"))
 STREAM_RULE = [
     ("stream", f"{LINE}\n{LINE}\n", True),
@@ -75,6 +50,9 @@ STREAM_RULE = [
     ("garbage first line", f"{{not json\n{LINE}\n", False),
     ("raw U+2028 in a string",
      json.dumps(minimal("d", "a\u2028b"), ensure_ascii=False) + "\n", False),
+    ("raw U+0085, U+2028 and U+2029 in a stream's strings",
+     json.dumps(minimal("d\x85", "a\u2028b"), ensure_ascii=False) + "\n"
+     + json.dumps(minimal("e", "\u2029"), ensure_ascii=False) + "\n", True),
 ]
 
 
@@ -85,6 +63,13 @@ def documents(data, size):
     return None if docs is None else list(docs)
 
 
+def _numbered(data):
+    """The non-empty lines of ``data``, numbered: lines end at "\\n", a "\\r"
+    before it is dropped, and a line of only JSON whitespace is empty."""
+    lines = re.split(rb"\r?\n", data)
+    return [(n, line) for n, line in enumerate(lines, 1) if line.strip(b" \t\r\n")]
+
+
 @pytest.mark.parametrize("text, stream", [case[1:] for case in STREAM_RULE],
                          ids=[case[0] for case in STREAM_RULE])
 def test_stream_rule_is_the_same_at_every_read_size(text, stream):
@@ -92,20 +77,28 @@ def test_stream_rule_is_the_same_at_every_read_size(text, stream):
     # 4-byte reads split every line; one 64 KiB read takes each file whole.
     found = {size: documents(data, size) for size in (4, 1 << 16)}
     assert found[4] == found[1 << 16]
-    want = ([(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
-            if stream else None)
-    assert found[4] == want
-
-
-def _numbered(data):
-    text = data.decode("utf-8")
-    return [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    assert found[4] == (_numbered(data) if stream else None)
 
 
 def reference_rule(data):
     """The stream rule on the whole text: split it into its non-empty lines;
     with at least two, it is a stream when its first line loads as JSON."""
     numbered = _numbered(data)
+    if len(numbered) >= 2:
+        try:
+            json.loads(numbered[0][1].decode("utf-8"))
+        except (ValueError, RecursionError):
+            return None
+        return numbered
+    return None
+
+
+def splitlines_rule(data):
+    """The stream rule under the line split that "\\n" replaced: lines as
+    ``str.splitlines`` splits the decoded text, a line empty when
+    ``str.strip`` leaves nothing of it."""
+    text = data.decode("utf-8")
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if len(numbered) >= 2:
         try:
             json.loads(numbered[0][1])
@@ -168,20 +161,17 @@ def test_stream_rule_agrees_with_the_reference_on_random_texts():
         assert documents(data, cli._READ_SIZE) == reference_rule(data), data
 
 
-def loads(text):
-    try:
-        load_document(text)
-    except Exception:  # any exception fails the document, as in resolve
-        return False
-    return True
-
-
-def fails(data, numbered):
-    """Whether ``data`` read as ``numbered`` fails: as one document that
-    does not load (None), or as a stream with a line that does not load."""
-    if numbered is None:
-        return not loads(data.decode("utf-8"))
-    return not all(loads(line) for _, line in numbered)
+def record(data, numbered):
+    """The failure record, without its file, that ``data`` read as
+    ``numbered`` gets: that of one document that does not load (None), or
+    of a stream's first line that does not load; None when all load."""
+    for line, source in numbered or [(None, data)]:
+        try:
+            load_document(source)
+        except Exception as exc:  # any exception fails the document, as in resolve
+            return {"error": f"{type(exc).__name__}: {exc}"} | (
+                {} if line is None else {"line": line})
+    return None
 
 
 def test_the_first_line_rule_changes_no_outcome():
@@ -197,8 +187,34 @@ def test_the_first_line_rule_changes_no_outcome():
             new = documents(data, size)
             if new != old:
                 differ += 1
-                assert fails(data, old) and fails(data, new), (data, size)
+                assert record(data, old) and record(data, new), (data, size)
     assert differ > 0
+
+
+def splits_alike(data):
+    """Whether ``data``, with "\\r\\n" read as "\\n", holds no other line end
+    of ``str.splitlines`` and no line of only whitespace that is not JSON
+    whitespace, so that both line splits find the same non-empty lines."""
+    text = data.decode("utf-8").replace("\r\n", "\n")
+    return (not any(end in text for end in SEPARATORS if end not in ("\n", "\r\n"))
+            and all(line.strip() or not line.strip(" \t\n") for line in text.split("\n")))
+
+
+def test_the_newline_rule_changes_only_inputs_that_str_splitlines_splits_otherwise():
+    inputs = [case[1].encode("utf-8") for case in STREAM_RULE + ONE_OBJECT_RULE]
+    inputs += [data for seed in range(10, 15) for data in random_texts(seed)]
+    changed = {True: 0, False: 0}  # by whether the input now resolves
+    for data in inputs:
+        before = record(data, splitlines_rule(data))
+        for size in (4, cli._READ_SIZE):
+            after = record(data, documents(data, size))
+            if splits_alike(data):
+                assert after == before, (data, size)
+            elif (after is None) != (before is None):
+                changed[after is None] += 1
+    # Documents parted by a line end that NDJSON does not know now fail, and
+    # streams whose strings hold such a character now resolve.
+    assert changed[True] > 0 and changed[False] > 0, changed
 
 
 def test_an_indented_document_is_not_read_whole():
@@ -214,20 +230,20 @@ def test_a_stream_is_read_as_its_documents_are_taken():
     data = ndjson(minimal(f"d{i}") for i in range(1000))
     file = io.BytesIO(data)
     docs = cli._documents(file, 256)
-    assert next(docs) == (1, json.dumps(minimal("d0")))
+    assert next(docs) == (1, json.dumps(minimal("d0")).encode())
     assert file.tell() <= 512 < len(data)
 
 
 def test_a_single_document_is_written_into_its_part_and_not_returned(tmp_path, config):
     path = str(FIXTURES / "ex12_foxp3.json")
-    text = (FIXTURES / "ex12_foxp3.json").read_text(encoding="utf-8")
-    want = resolve_document(load_document(text), config)
+    data = (FIXTURES / "ex12_foxp3.json").read_bytes()
+    want = resolve_document(load_document(data), config)
     part = tmp_path / ".ex12_foxp3.json.part"
     part.write_bytes(b"")
     missing = tmp_path / ".missing.json.part"
     gone = tmp_path / ".gone.json.part"
     gone.write_bytes(b"")
-    task = [(path, str(part)), (text, None), (path, str(missing)),
+    task = [(path, str(part)), (data, None), (path, str(missing)),
             (str(tmp_path / "gone.json"), str(gone))]
     (out, counters, error), stream_line, (_, _, missed), (_, _, unread) = cli._resolve_task(
         task, config)
@@ -249,8 +265,8 @@ def test_a_single_document_travels_as_its_path_and_a_stream_line_as_its_text(tmp
     created = set()
     [(task, where)] = cli._tasks([str(single), str(stream)], 1, str(tmp_path), created)
     part = str(tmp_path / ".a_single.json.part")
-    assert task == [(str(single), part), (json.dumps(minimal("b0")), None),
-                    (json.dumps(minimal("b1")), None)]
+    assert task == [(str(single), part), (json.dumps(minimal("b0")).encode(), None),
+                    (json.dumps(minimal("b1")).encode(), None)]
     assert where == [(0, None, False, None), (0, None, True, None),
                      (1, 1, False, None), (1, 2, False, None), (1, None, True, None)]
     assert created == {part}
@@ -447,33 +463,33 @@ def test_interrupt_with_a_full_window_stops_the_pool_and_leaves_no_part_file(tmp
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_undecodable_line_fails_only_its_stream(tmp_path, jobs):
-    # Lines of 25 KB put the bad byte at the end of line 3 past the first
-    # read, so lines 1 and 2 are handed out before it is found.
+    # The main process decodes no line of a stream but the first, so lines 1
+    # and 2 are handed out and resolved, and line 3 fails in its worker.
     lines = [json.dumps(minimal(f"d{i}", "x" * 25_000)).encode() for i in range(5)]
     lines[2] = lines[2].replace(b'x", "sentences"', b'\xff", "sentences"')
-    data = b"\n".join(lines) + b"\n"
     (tmp_path / "a_ok.json").write_text(json.dumps(minimal("a")))
-    (tmp_path / "b_stream.ndjson").write_bytes(data)
+    (tmp_path / "b_stream.ndjson").write_bytes(b"\n".join(lines) + b"\n")
     (tmp_path / "c_ok.json").write_text(json.dumps(minimal("c")))
     out = tmp_path / "out"
     proc = subprocess.run(CLI + ["resolve", "--in", str(tmp_path / "*"), "--out", str(out),
                                  "--jobs", jobs], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1, proc.stderr
-    with pytest.raises(UnicodeDecodeError) as whole:
-        data.decode("utf-8")
-    assert whole.value.start > cli._READ_SIZE > len(b"\n".join(lines[:2]))
+    with pytest.raises(UnicodeDecodeError) as line:
+        lines[2].decode("utf-8")
     summary = summary_of(proc.stderr)
-    assert summary["failed"] == [{"file": str(tmp_path / "b_stream.ndjson"),
-                                  "error": f"UnicodeDecodeError: {whole.value}"}]
+    assert summary["failed"] == [{"file": str(tmp_path / "b_stream.ndjson"), "line": 3,
+                                  "error": f"MalformedInput: {line.value}"}]
     assert summary["docs"] == 2
     assert sorted(p.name for p in out.iterdir()) == ["a_ok.json", "c_ok.json"]
 
 
-def test_a_document_undecodable_past_the_first_read_fails_in_its_worker(tmp_path):
+@pytest.mark.parametrize("place", [20, -20], ids=["start", "end"])
+def test_a_document_undecodable_past_the_first_read_fails_in_its_worker(tmp_path, place):
     # The main process reads the indented file only as far as its second
-    # line, so the worker meets the bad byte and reports it as MalformedInput.
+    # line and decodes only its first, so wherever the bad byte lies, the
+    # worker meets it and reports it as MalformedInput.
     data = json.dumps(minimal("d", "x" * 2 * cli._READ_SIZE), indent=2).encode()
-    data = data[:-20] + b"\xff" + data[-19:]
+    data = data[:place] + b"\xff" + data[place:][1:]
     with pytest.raises(UnicodeDecodeError) as whole:
         data.decode("utf-8")
     (tmp_path / "bad.json").write_bytes(data)

@@ -26,11 +26,9 @@ system, baseline = [], []
 for doc_id, entry in sorted(manifest.items()):
     doc = load_document((FIXTURES / entry["file"]).read_bytes())
     res = resolve_document(doc, full_cfg)
-    system.append(RunOutput(doc_id=doc_id,
-                            completed=json.loads(res.to_bytes())["completed_events"]))
-    res_base = resolve_document(doc, base_cfg)
+    system.append(RunOutput(doc_id=doc_id, completed=res.completed))
     baseline.append(RunOutput(doc_id=doc_id,
-                              completed=json.loads(res_base.to_bytes())["completed_events"]))
+                              completed=resolve_document(doc, base_cfg).completed))
 
 counts = throughput(system, baseline)
 assert counts["coref_only"] == sum(entry["coref_events"] for entry in manifest.values())

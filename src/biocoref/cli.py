@@ -5,28 +5,25 @@ Subcommands:
     eval      score resolver output (throughput, precision, error breakdown)
     inspect   print the per-sieve trace for one anaphor in a result file
 
-Exit codes: 0 success, 1 one or more documents failed, 2 configuration error.
-Per-run summaries go to stderr as JSON so stdout stays scriptable. ``resolve``
-is one loop on the main thread: it reads the inputs in order and hands their
-documents, each line of an NDJSON stream among them, out to its worker
-processes in tasks. The main process reads every input as bytes. Lines end
-at ``"\\n"`` only, as JSON Lines and NDJSON say, and a line is empty when it
-holds only JSON whitespace. A file is a stream when it has at least two
-non-empty lines and its first non-empty line holds a JSON value by itself,
-so the main process reads a single-document file only up to its second
-non-empty line, decodes and parses at most its first, and keeps none of
-its text: the task carries the file's path, and the worker reads the file
-again: a file changed in between is resolved as the worker reads it, and
-one that no longer reads, decodes or loads fails only that document. For
-each single-document file the main process first creates the empty
-``<out>/.<stem>.json.part`` that the worker writes the result into; a
-stream line travels as its bytes, undecoded, and its result comes back as
-bytes, which the main process writes to the stream's part.
-Once a task's results are back, it moves each complete part onto
-``<out>/<stem>.json``, in input order. With at most two tasks per worker out
-at a time, the main process holds a bounded window of stream lines, no
-single document's text or result, and of each input only its path. A
-``--strict`` stop kills the workers still resolving; then, as after any
+Exit codes: 0 success, 1 one or more documents failed, 2 configuration
+error. Per-run summaries go to stderr as JSON so stdout stays scriptable.
+``resolve`` is one loop on the main thread: it reads the inputs in order and
+hands their documents, each line of an NDJSON stream among them, out to its
+worker processes in tasks. The main process reads every input as bytes and
+tells a stream from one document by ``standoff._documents``'s rule, so it
+reads a single-document file only up to its second non-empty line, decodes
+and parses at most its first, and keeps none of its text: the task carries
+the file's path, and the worker reads the file again: a file changed in
+between is resolved as the worker reads it, and one that no longer reads,
+decodes or loads fails only that document. For each single-document file the
+main process first creates the empty ``<out>/.<stem>.json.part`` that the
+worker writes the result into; a stream line travels as its bytes,
+undecoded, and its result comes back as bytes, which the main process writes
+to the stream's part. Once a task's results are back, it moves each complete
+part onto ``<out>/<stem>.json``, in input order. With at most two tasks per
+worker out at a time, the main process holds a bounded window of stream
+lines, no single document's text or result, and of each input only its path.
+A ``--strict`` stop kills the workers still resolving; then, as after any
 stop, every part created and not moved is unlinked.
 """
 
@@ -37,12 +34,11 @@ import glob as globlib
 import json
 import math
 import os
-import re
 import sys
 from collections import deque
 from contextlib import ExitStack, suppress
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -50,7 +46,7 @@ from .detection import default_lexicon, load_lexicon_file
 from .grounding import default_table, load_table_file
 from .resolver import ResolverConfig, resolve_document, validate_disabled
 from .schema import default_schema, load_schema_file
-from .standoff import load_document
+from .standoff import _READ_SIZE, _documents, load_document, read_results
 
 # The most documents one task holds. With at most _TASKS_PER_JOB tasks per
 # worker handed out and not yet written, the main process holds a window of
@@ -58,7 +54,6 @@ from .standoff import load_document
 # measurements behind both values.
 _WINDOW = 64
 _TASKS_PER_JOB = 2
-_READ_SIZE = 1 << 16  # bytes per read of an input file
 # The summary's counts that sum the per-document counters.
 _SUMMED = ("anaphors_detected", "anaphors_resolved", "anaphors_dropped",
            "events_completed", "events_coref_derived", "events_dropped")
@@ -106,59 +101,6 @@ def _resolve_task(task: list[tuple[str | bytes, str | None]], config: ResolverCo
         except Exception as exc:  # contained here: one document never aborts the batch
             results.append((None, None, f"{type(exc).__name__}: {exc}"))
     return results
-
-
-_NON_SPACE = re.compile(rb"[^ \t\r\n]")  # a byte other than JSON whitespace
-
-
-def _two_lines(file: BinaryIO, size: int) -> bool:
-    """Whether ``file``, read from where it is ``size`` bytes at a time, has
-    at least two non-empty lines: a byte other than JSON whitespace, a
-    ``b"\\n"`` after it, and another such byte after that. Each read is
-    searched and dropped; nothing is decoded or kept."""
-    seen = 0  # how many of the three have been found
-    while data := file.read(size):
-        start = 0
-        if seen == 0:
-            first = _NON_SPACE.search(data)
-            if first is None:
-                continue
-            start, seen = first.end(), 1
-        if seen == 1:
-            start = data.find(b"\n", start)
-            if start < 0:
-                continue
-            seen = 2
-        if _NON_SPACE.search(data, start) is not None:
-            return True
-    return False
-
-
-def _documents(file: BinaryIO, size: int) -> Iterator[tuple[int, bytes]] | None:
-    """An NDJSON stream's documents as ``(line, bytes)``, or None when the
-    file is one document. Lines end at ``b"\\n"``, and a ``b"\\r"`` before
-    it is dropped; they are numbered from 1, and a line that holds only JSON
-    whitespace is skipped. A file is a stream when it has at least two
-    non-empty lines and its first non-empty line holds a JSON value by
-    itself. The file is first scanned for two non-empty lines, ``size``
-    bytes at a time, which keeps no text; only then is its first non-empty
-    line read again, and it is the one line decoded and parsed here. A
-    stream's other lines are read as they are taken."""
-    if not _two_lines(file, size):
-        return None
-    file.seek(0)
-    lines = ((n, line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n"))
-             for n, line in enumerate(file, 1) if _NON_SPACE.search(line))
-    first = next(lines, (0, b""))  # empty when the file was emptied since it was scanned
-    try:
-        # Each object parsed becomes None, so no tree of a document is built.
-        json.loads(first[1].decode("utf-8"), object_pairs_hook=lambda pairs: None)
-    except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
-        return None
-    second = next(lines, None)
-    if second is None:  # the file changed since it was scanned
-        return None
-    return chain((first, second), lines)
 
 
 def _task_size(documents: int, jobs: int) -> int:
@@ -456,30 +398,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    lines, traced = [], []
     try:
-        raw = json.loads(Path(args.result).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        for _, doc, _, _, trace in read_results(args.result):
+            if trace is None:
+                raise ValueError(f"{doc.doc_id} has no trace; re-run resolve with --emit-provenance")
+            for entry in trace:
+                traced.append(entry["anaphor"])
+                if entry["anaphor"] == args.anaphor:
+                    lines += [f"doc {doc.doc_id}", *_render_trace_entry(entry)]
+    except (OSError, ValueError) as exc:  # ValueError: a result refused, or no trace
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if not isinstance(raw, dict):
-        print("configuration error: result file does not hold a JSON object", file=sys.stderr)
-        return 2
-    trace = raw.get("trace")
-    if trace is None:
-        print("configuration error: result file has no trace; re-run resolve with "
-              "--emit-provenance", file=sys.stderr)
-        return 2
-    try:
-        entry = next((t for t in trace if t["anaphor"] == args.anaphor), None)
-        if entry is None:
-            known = ", ".join(t["anaphor"] for t in trace) or "(none)"
-            print(f"unknown anaphor {args.anaphor!r}; traced anaphors: {known}",
-                  file=sys.stderr)
-            return 2
-        lines = _render_trace_entry(entry)
     except (AttributeError, KeyError, TypeError) as exc:
         print(f"configuration error: malformed trace: {type(exc).__name__}: {exc}",
               file=sys.stderr)
+        return 2
+    if not lines:
+        known = ", ".join(dict.fromkeys(traced)) or "(none)"
+        print(f"unknown anaphor {args.anaphor!r}; traced anaphors: {known}", file=sys.stderr)
         return 2
     print("\n".join(lines))
     return 0

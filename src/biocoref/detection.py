@@ -126,6 +126,10 @@ def load_lexicon(data: bytes | str) -> TriggerDictionary:
             pronouns[surface.lower()] = Cardinality.at_least_two()
         else:
             raise SchemaViolation(f"lexicon config: pronoun {surface!r} has bad number {number!r}")
+    for key in ("event_triggers", "class_lexicon"):
+        for word, value in raw[key].items():
+            if not isinstance(value, str):
+                raise SchemaViolation(f"lexicon config: {key} entry {word!r} must be a string")
     lex = TriggerDictionary(
         event_triggers={k.lower(): v for k, v in raw["event_triggers"].items()},
         class_lexicon={k.lower(): v for k, v in raw["class_lexicon"].items()},

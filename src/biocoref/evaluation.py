@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
+
+from .model import CompletedEvent, MalformedInput, SchemaViolation
+from .standoff import read_results
 
 REFERENCE_THROUGHPUT = {"baseline": 46234, "coref_only": 1492, "combined": 47726}
 REFERENCE_GENEROUS_PRECISION = {"combined": 0.742, "coref_only": 0.680}
@@ -130,29 +132,18 @@ def error_breakdown(records: list[AdjudicationRecord]) -> dict[str, Fraction]:
 
 class RunOutput(NamedTuple):
     doc_id: str
-    completed: list[dict]
+    completed: tuple[CompletedEvent, ...] | list[CompletedEvent]
 
 
 def load_run(path: str | Path) -> list[RunOutput]:
-    """Read resolver output from a result file or a directory of them.
-
-    An empty directory is a legal empty corpus. A missing path is an error,
-    and so is a file that is not one JSON result object with a ``doc_id``.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise EvaluationError(f"no such result path: {path}")
-    files = sorted(path.glob("*.json")) if path.is_dir() else [path]
-    outputs = []
-    for f in files:
-        try:  # JSON and UTF-8 decode errors are ValueErrors
-            raw = json.loads(f.read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise EvaluationError(f"{f}: not one JSON result object: {exc}") from None
-        if not isinstance(raw, dict) or not isinstance(raw.get("doc_id"), str):
-            raise EvaluationError(f"{f}: not a result object with a doc_id")
-        outputs.append(RunOutput(doc_id=raw["doc_id"], completed=raw.get("completed_events", [])))
-    return outputs
+    """Read resolver output, through ``standoff.read_results``, from a result
+    file, streams included, or a directory of them; an empty one is a legal
+    empty corpus. A result that ``load_result`` refuses is an EvaluationError."""
+    try:
+        return [RunOutput(doc.doc_id, completed)
+                for _, doc, _, completed, _ in read_results(path)]
+    except (MalformedInput, SchemaViolation) as exc:
+        raise EvaluationError(str(exc)) from None
 
 
 def throughput(system: list[RunOutput], baseline: list[RunOutput] | None = None,
@@ -172,16 +163,9 @@ def throughput(system: list[RunOutput], baseline: list[RunOutput] | None = None,
                 f"only-baseline={sorted(base_ids - sys_ids)}")
 
     def count(outputs: list[RunOutput], want_coref: bool | None) -> int:
-        n = 0
-        for out in outputs:
-            events = out.completed
-            if darpa_collapse:
-                events = _collapse_regulations(events)
-            for ev in events:
-                has_prov = bool(ev.get("provenance"))
-                if want_coref is None or has_prov == want_coref:
-                    n += 1
-        return n
+        events = (ev for out in outputs for ev in
+                  (_collapse_regulations(out.completed) if darpa_collapse else out.completed))
+        return sum(want_coref is None or bool(ev.provenance) == want_coref for ev in events)
 
     counts = {
         "baseline": count(system, want_coref=False),
@@ -193,15 +177,11 @@ def throughput(system: list[RunOutput], baseline: list[RunOutput] | None = None,
     return counts
 
 
-def _collapse_regulations(events: list[dict]) -> list[dict]:
+def _collapse_regulations(events: list[CompletedEvent]) -> list[CompletedEvent]:
     """Fold each regulation together with the events it controls into one unit."""
-    emitted = {ev["id"] for ev in events}
-    absorbed: set[str] = set()
-    for ev in events:
-        for arg in ev.get("args", ()):
-            if arg["ref"] in emitted:
-                absorbed.add(arg["ref"])
-    return [ev for ev in events if ev["id"] not in absorbed]
+    emitted = {ev.id for ev in events}
+    absorbed = {arg.ref for ev in events for arg in ev.args if arg.ref in emitted}
+    return [ev for ev in events if ev.id not in absorbed]
 
 
 def format_report(counts: dict[str, int],
@@ -218,12 +198,9 @@ def format_report(counts: dict[str, int],
     if precision is not None:
         value, total, n = precision
         label = "Mutant-mode precision" if mutant_mode else "Generous precision"
-        lines.append("")
-        lines.append(label)
-        lines.append(f"  {float(value):.1%}  ({total}/{n})")
+        lines += ["", label, f"  {float(value):.1%}  ({total}/{n})"]
     if breakdown is not None:
-        lines.append("")
-        lines.append("Error source breakdown")
+        lines += ["", "Error source breakdown"]
         for cls in ERROR_CLASSES:
             frac = breakdown.get(cls, Fraction(0))
             lines.append(f"  {cls:<26} {float(frac):.0%}")

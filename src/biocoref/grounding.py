@@ -60,7 +60,8 @@ def _namespace_of(canonical_id: str, explicit: str | None) -> str:
 
 def load_table(data: bytes | str,
                namespace_priority: tuple[str, ...] = DEFAULT_NAMESPACE_PRIORITY) -> GroundingTable:
-    """Ingest a TSV of ``alias<TAB>canonical_id[<TAB>namespace]`` rows.
+    """Ingest a TSV of ``alias<TAB>canonical_id[<TAB>namespace]`` rows. Rows
+    end at "\\n", a "\\r" before it dropped, so an alias may hold U+2028.
 
     When one alias maps to several IDs the highest-priority namespace wins,
     then the earliest row; superseded rows are tallied in dropped_duplicates.
@@ -70,7 +71,7 @@ def load_table(data: bytes | str,
     rows: dict[str, list[tuple[int, int, str]]] = {}
     rank = {ns: i for i, ns in enumerate(namespace_priority)}
     unknown_rank = len(namespace_priority)
-    for lineno, line in enumerate(data.splitlines(), start=1):
+    for lineno, line in enumerate(data.replace("\r\n", "\n").split("\n"), start=1):
         if not line.strip():
             continue
         cols = line.split("\t")

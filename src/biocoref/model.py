@@ -133,11 +133,11 @@ class Document(NamedTuple):
     events: tuple[EventMention, ...] = ()
 
 
-def validate_document(doc: Document, event_types: frozenset[str]) -> None:
+def validate_document(doc: Document, event_types: frozenset[str] | None) -> None:
     """Check every document invariant, raising SchemaViolation on the first failure.
 
     ``event_types`` is the configured inventory, so unknown types are rejected
-    at the boundary. Surfaces are not compared with the text: the loader
+    at the boundary; None checks none. Surfaces are not compared with the text: the loader
     slices each from the text, an entity's only once its span is in bounds.
     """
     text_len = len(doc.text)
@@ -184,7 +184,7 @@ def validate_document(doc: Document, event_types: frozenset[str]) -> None:
             raise SchemaViolation(f"{ev.id}: trigger span out of bounds")
         if not _covered_by_sentence(doc, starts, ev.trigger_start, ev.trigger_end):
             raise SchemaViolation(f"{ev.id}: trigger not covered by any sentence")
-        if ev.event_type not in event_types:
+        if event_types is not None and ev.event_type not in event_types:
             raise SchemaViolation(f"{ev.id}: unknown event type {ev.event_type!r}")
         if ev.polarity not in POLARITIES:
             raise SchemaViolation(f"{ev.id}: unknown polarity {ev.polarity!r}")

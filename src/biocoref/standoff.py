@@ -24,7 +24,8 @@ per layout, one template per record shape, the provenance ``chains`` and
 the text and each record by itself, so that no string of the whole result is
 built: returning a result's bytes takes about two to three times its size on
 top of the model, whatever characters its text holds, and writing them to a
-file as they are encoded takes less than twice.
+file as they are encoded takes less than twice. ``read_results`` is the one
+reader: it tells a stream as ``resolve`` does and checks as ``load_result``.
 
 ``load_document`` parses the whole JSON tree, then ``document_from_dict``
 builds the model from it and frees each parsed record, with its token,
@@ -38,7 +39,10 @@ loading the input, so it is the next ceiling.
 from __future__ import annotations
 
 import json
+import re
+from itertools import chain
 from json.encoder import encode_basestring
+from pathlib import Path
 from typing import Any, BinaryIO, Iterator
 
 from .model import (
@@ -137,11 +141,13 @@ def load_document(data: bytes | str, schema: ArgSchema | None = None) -> Documen
     types and argument roles are checked against ``schema`` (the bundled
     default when omitted), so unknown ones are rejected here.
     """
-    return document_from_dict(_parse_object(data), schema=schema)
+    return document_from_dict(_parse_object(data), default_schema() if schema is None else schema)
 
 
-def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
-    """Build a Document from one parsed standoff object and validate it.
+def document_from_dict(raw: dict, schema: ArgSchema | None) -> Document:
+    """Build a Document from one parsed standoff object and validate it:
+    its event types, roles and fillers' classes against ``schema``, unless
+    it is None, as for a result, whose input was checked when it was loaded.
 
     A record whose fields all have their exact JSON types is built directly;
     any other record goes through the ``_require*`` checks, which name its
@@ -153,8 +159,6 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
     beside the whole model. Its other fields are left as they are. A caller
     that needs the records afterwards passes a copy.
     """
-    if schema is None:
-        schema = default_schema()
     doc_id = _require_str(raw, "doc_id", "document")
     text = _require_str(raw, "text", doc_id)
     token_where, sentence_where = f"{doc_id} token", f"{doc_id} sentence"
@@ -243,7 +247,9 @@ def document_from_dict(raw: dict, schema: ArgSchema | None = None) -> Document:
         entities=tuple(entities),
         events=tuple(events),
     )
-    validate_document(doc, event_types=schema.event_types)
+    validate_document(doc, event_types=None if schema is None else schema.event_types)
+    if schema is None:
+        return doc
 
     # Validate argument roles and their fillers' classes against the schema
     # so junk arguments fail loudly.
@@ -452,21 +458,76 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
     return b"".join(pieces) if file is None else None
 
 
-def load_result(data: bytes | str, schema: ArgSchema | None = None
+_READ_SIZE = 1 << 16  # bytes per read of an input or result file
+_NON_SPACE = re.compile(rb"[^ \t\r\n]")  # a byte other than JSON whitespace
+
+
+def _two_lines(file: BinaryIO, size: int) -> bool:
+    """Whether ``file``, read from where it is ``size`` bytes at a time, has
+    at least two non-empty lines: a byte other than JSON whitespace, a
+    ``b"\\n"`` after it, and another such byte after that. Each read is
+    searched and dropped; nothing is decoded or kept."""
+    seen = 0  # how many of the three have been found
+    while data := file.read(size):
+        start = 0
+        if seen == 0:
+            first = _NON_SPACE.search(data)
+            if first is None:
+                continue
+            start, seen = first.end(), 1
+        if seen == 1:
+            start = data.find(b"\n", start)
+            if start < 0:
+                continue
+            seen = 2
+        if _NON_SPACE.search(data, start) is not None:
+            return True
+    return False
+
+
+def _documents(file: BinaryIO, size: int) -> Iterator[tuple[int, bytes]] | None:
+    """An NDJSON stream's documents as ``(line, bytes)``, or None when the
+    file is one document. Lines end at ``b"\\n"``, and a ``b"\\r"`` before
+    it is dropped; they are numbered from 1, and a line that holds only JSON
+    whitespace is skipped. A file is a stream when it has at least two
+    non-empty lines and its first non-empty line holds a JSON value by
+    itself. The file is first scanned for two non-empty lines, ``size``
+    bytes at a time, which keeps no text; only then is its first non-empty
+    line read again, and it is the one line decoded and parsed here. A
+    stream's other lines are read as they are taken."""
+    if not _two_lines(file, size):
+        return None
+    file.seek(0)
+    lines = ((n, line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n"))
+             for n, line in enumerate(file, 1) if _NON_SPACE.search(line))
+    first = next(lines, (0, b""))  # empty when the file was emptied since it was scanned
+    try:
+        # Each object parsed becomes None, so no tree of a document is built.
+        json.loads(first[1].decode("utf-8"), object_pairs_hook=lambda pairs: None)
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
+        return None
+    second = next(lines, None)
+    if second is None:  # the file changed since it was scanned
+        return None
+    return chain((first, second), lines)
+
+
+def load_result(data: bytes | str
                 ) -> tuple[Document, tuple[CorefLink, ...], tuple[CompletedEvent, ...]]:
     """Inverse of save_result; ignores provenance extras it does not model.
-    Links and completed events are checked as save_result checks them."""
-    raw = _parse_object(data)
-    doc = document_from_dict(raw, schema=schema)
-    link_where = f"{doc.doc_id} link"
-    links = tuple(
-        CorefLink(
-            anaphor_id=_require_str(l, "anaphor", link_where),
-            antecedent_ids=tuple(_require_strs(l, "antecedents", link_where)),
-            sieve_name=_require_str(l, "sieve", link_where),
-        )
-        for l in _require_list(raw, "links", doc.doc_id, optional=True)
-    )
+    Links and completed events are checked as save_result checks them; like
+    it, it takes no schema: event types and roles are ``load_document``'s check."""
+    return _result(_parse_object(data))[:3]
+
+
+def _result(raw: dict) -> tuple:
+    """``load_result``'s three of the parsed result ``raw``, and its raw ``trace``."""
+    doc = document_from_dict(raw, schema=None)
+    where = f"{doc.doc_id} link"
+    links = tuple(CorefLink(_require_str(l, "anaphor", where),
+                            tuple(_require_strs(l, "antecedents", where)),
+                            _require_str(l, "sieve", where))
+                  for l in _require_list(raw, "links", doc.doc_id, optional=True))
     completed = []
     for c in _require_list(raw, "completed_events", doc.doc_id, optional=True):
         ev_id = _require_str(c, "id", f"{doc.doc_id} completed event")
@@ -482,4 +543,23 @@ def load_result(data: bytes | str, schema: ArgSchema | None = None
             provenance=tuple(_require_strs(c, "provenance", ev_id, optional=True)),
         ))
     _check_result(doc, links, completed)
-    return doc, links, tuple(completed)
+    return doc, links, tuple(completed), raw.get("trace")
+
+
+def read_results(path: str | Path) -> Iterator[tuple[int | None, Document, tuple[CorefLink, ...],
+                                                     tuple[CompletedEvent, ...], Any]]:
+    """``(line, doc, links, completed, trace)`` for each result of the file
+    ``path``, or of the directory's ``*.json`` files in name order, checked
+    as ``load_result`` checks it, ``trace`` raw. ``line`` numbers a stream's
+    lines, told by ``_documents``'s rule; a refused result's error names its
+    file and ``line``."""
+    path = Path(path)
+    for name in sorted(path.glob("*.json")) if path.is_dir() else [path]:
+        with open(name, "rb") as file:
+            for line, data in _documents(file, _READ_SIZE) or [(None, name.read_bytes())]:
+                try:
+                    result = _result(_parse_object(data))
+                except (MalformedInput, SchemaViolation) as exc:
+                    where = name if line is None else f"{name}: line {line}"
+                    raise type(exc)(f"{where}: {exc}") from None
+                yield line, *result

@@ -154,8 +154,7 @@ def test_criterion_3_property_suite(config, tmp_path):
 
 
 def test_criterion_4_throughput_accounting(resolved_corpus, manifest):
-    system = [RunOutput(doc_id=doc_id,
-                        completed=json.loads(res.to_bytes())["completed_events"])
+    system = [RunOutput(doc_id=doc_id, completed=res.completed)
               for doc_id, (_, res) in resolved_corpus.items()]
     counts = throughput(system)
     want_coref = sum(m["coref_events"] for m in manifest.values())

@@ -99,6 +99,8 @@ def test_resolve_bad_config_exits_2(tmp_path, corpus_dir):
     # A config of the wrong shape is refused by name.
     for option, config, message in [
             ("--lexicon", [1], "lexicon config: top level must be an object"),
+            ("--lexicon", {"event_triggers": {"binding": 5}},
+             "lexicon config: event_triggers entry 'binding' must be a string"),
             ("--schema", {"Binding": {"theme": ["Protein"]}},
              "schema config: bad role spec Binding.theme: must be an object")]:
         path = tmp_path / "config.json"
@@ -267,6 +269,7 @@ def test_inspect_linked_vs_dropped_traces(run_dir):
     out, _ = run_dir
     linked = run_cli("inspect", str(out / "ex1b_axin_gbd.json"), "T3")
     assert linked.returncode == 0
+    assert linked.stdout.startswith("doc ex1b_axin_gbd\nanaphor T3 ")  # one shape for any file
     assert "excluded_chain" in linked.stdout  # the same-surface participant chain
     assert linked.stdout.strip().splitlines()[-1].startswith("  LINKED by pronominal")
 
@@ -494,18 +497,100 @@ def test_stream_is_told_apart_by_content(tmp_path, corpus_dir):
     assert (out / "c_one_line.json").read_text(encoding="utf-8").startswith('{\n  "doc_id"')
 
 
-def test_stream_counts_documents_and_eval_rejects_it_cleanly(tmp_path):
+@pytest.fixture(scope="module")
+def stream_dir(tmp_path_factory):
+    """The fixtures as one NDJSON stream, ``all.ndjson``, and its results with
+    --emit-provenance, ``out/all.json``, and with every sieve disabled,
+    ``base/all.json``."""
+    work = tmp_path_factory.mktemp("stream")
     docs = fixture_corpus.corpus_documents()
-    write_stream(tmp_path / "all.ndjson", [docs[name] for name in sorted(docs)])
-    out = tmp_path / "out"
-    proc = run_cli("resolve", "--in", str(tmp_path / "all.ndjson"), "--out", str(out))
+    write_stream(work / "all.ndjson", [docs[name] for name in sorted(docs)])
+    for out, flags in (("out", ["--emit-provenance"]), ("base", ["--disable-sieve", "all"])):
+        proc = run_cli("resolve", "--in", str(work / "all.ndjson"), "--out", str(work / out),
+                       *flags)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr.strip().splitlines()[-1])["docs"] == 22
+    return work
+
+
+def test_eval_reports_a_stream_as_it_reports_its_files(tmp_path, corpus_dir, run_dir,
+                                                       stream_dir, manifest):
+    out, _ = run_dir
+    base = tmp_path / "base"
+    proc = run_cli("resolve", "--in", str(corpus_dir / "ex*.json"), "--out", str(base),
+                   "--disable-sieve", "all")
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stderr.strip().splitlines()[-1])["docs"] == 22
-    # eval reads one result object per file; a stream is refused, not a crash.
-    proc = run_cli("eval", "--system", str(out))
+    for with_baseline in (False, True):
+        reports = []
+        for system, baseline in ((out, base), (stream_dir / "out" / "all.json",
+                                               stream_dir / "base" / "all.json")):
+            flags = ["--baseline", str(baseline)] if with_baseline else []
+            proc = run_cli("eval", "--system", str(system), *flags, "--json")
+            assert proc.returncode == 0, proc.stderr
+            reports.append(proc.stdout)
+        assert reports[0] == reports[1]
+        counts = json.loads(reports[1])["throughput"]
+        assert counts["coref_only"] == sum(m["coref_events"] for m in manifest.values())
+        assert ("baseline_run_events" in counts) == with_baseline
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["file", "stream"])
+def test_eval_refuses_a_link_to_an_unknown_mention(tmp_path, run_dir, stream):
+    out, _ = run_dir
+    results = [json.loads((out / f"{name}.json").read_text(encoding="utf-8"))
+               for name in ("ex13_rb_e2f", "ex12_foxp3")]
+    results[1]["links"][0]["antecedents"] = ["T99"]
+    bad = tmp_path / "bad.json"
+    if stream:
+        bad.write_text("".join(json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n"
+                               for r in results), encoding="utf-8")
+    else:
+        bad.write_text(json.dumps(results[1], ensure_ascii=False, indent=2), encoding="utf-8")
+    proc = run_cli("eval", "--system", str(tmp_path))
     assert proc.returncode == 2
-    assert proc.stderr.startswith(f"evaluation error: {out / 'all.json'}: ")
-    assert "Traceback" not in proc.stderr
+    where = f"{bad}: line 2" if stream else f"{bad}"
+    assert proc.stderr == f"evaluation error: {where}: link antecedent T99 not in document\n"
+
+
+def test_eval_reads_a_run_whose_schema_renames_an_event_type(tmp_path):
+    # Results are checked as save_result checks them, against no schema, so
+    # eval needs no --schema for the results of a resolve --schema run.
+    schema = json.loads((Path(cli.__file__).parent / "data" / "schema.json").read_bytes())
+    schema["Association"] = schema.pop("Binding")
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    docs = fixture_corpus.corpus_documents()
+    for raw in docs.values():
+        for ev in raw["events"]:
+            ev["type"] = "Association" if ev["type"] == "Binding" else ev["type"]
+    write_stream(tmp_path / "renamed.ndjson", [docs[name] for name in sorted(docs)])
+    out = tmp_path / "out"
+    proc = run_cli("resolve", "--in", str(tmp_path / "renamed.ndjson"), "--out", str(out),
+                   "--schema", str(tmp_path / "schema.json"))
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert '"type":"Association"' in (out / "renamed.json").read_text(encoding="utf-8")
+    proc = run_cli("eval", "--system", str(out), "--json")
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)["throughput"]
+    assert (counts["combined"], counts["coref_only"]) == (
+        summary["events_completed"], summary["events_coref_derived"])
+
+
+def test_inspect_renders_a_stream_line_under_its_doc_header(run_dir, stream_dir, capsys):
+    out, _ = run_dir
+    proc = run_cli("inspect", str(stream_dir / "out" / "all.json"), "T3")
+    assert proc.returncode == 0, proc.stderr
+    blocks = ("\n" + proc.stdout).split("\ndoc ")[1:]
+    block = next(b for b in blocks if b.startswith("ex1b_axin_gbd\n"))
+    assert block.rstrip("\n").splitlines()[-1].startswith("  LINKED by pronominal")
+    # The blocks are what inspect prints for each document's own result
+    # file that traces T3, in the stream's order.
+    singles = []
+    for path in sorted(out.glob("*.json")):
+        if cli.main(["inspect", str(path), "T3"]) == 0:
+            singles.append(capsys.readouterr().out)
+    assert len(blocks) == len(singles) > 1
+    assert proc.stdout == "".join(singles)
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe", b"[1, 2]", b'{"completed_events": []}'])

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -16,15 +15,18 @@ from biocoref.evaluation import (
     load_adjudications,
     throughput,
 )
+from biocoref.model import CompletedEvent, EventArg
 
 
 def _runs(events_by_doc):
     return [RunOutput(doc_id=d, completed=evs) for d, evs in events_by_doc.items()]
 
 
-def _ev(ev_id, provenance=(), args=()):
-    return {"id": ev_id, "type": "Binding", "args": [dict(a) for a in args],
-            "provenance": list(provenance)}
+def _ev(ev_id, provenance=(), args=(), event_type="Binding"):
+    return CompletedEvent(id=ev_id, trigger_start=0, trigger_end=1, event_type=event_type,
+                          args=tuple(EventArg(role, ref) for role, ref in args),
+                          polarity="Unspecified", derived_from=ev_id,
+                          provenance=tuple(provenance))
 
 
 def test_throughput_empty_corpus_is_all_zeros():
@@ -67,8 +69,7 @@ def test_throughput_corpus_mismatch():
 
 
 def test_throughput_fixture_corpus_matches_manifest(resolved_corpus, manifest):
-    system = [RunOutput(doc_id=doc_id,
-                        completed=json.loads(res.to_bytes())["completed_events"])
+    system = [RunOutput(doc_id=doc_id, completed=res.completed)
               for doc_id, (_, res) in resolved_corpus.items()]
     counts = throughput(system)
     assert counts["coref_only"] == sum(m["coref_events"] for m in manifest.values())
@@ -79,8 +80,7 @@ def test_throughput_fixture_corpus_matches_manifest(resolved_corpus, manifest):
 def test_darpa_collapse_merges_regulation_with_controlled():
     events = [
         _ev("E1"),
-        {"id": "E2", "type": "Regulation", "provenance": [],
-         "args": [{"role": "controller", "ref": "T1"}, {"role": "controlled", "ref": "E1"}]},
+        _ev("E2", args=[("controller", "T1"), ("controlled", "E1")], event_type="Regulation"),
     ]
     plain = throughput(_runs({"d0": events}))
     collapsed = throughput(_runs({"d0": events}), darpa_collapse=True)

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from biocoref import grounding
 from biocoref.grounding import (
     GroundingTable,
     MalformedRow,
@@ -55,6 +58,22 @@ def test_namespace_falls_back_to_id_prefix():
 def test_malformed_row_carries_line_number():
     with pytest.raises(MalformedRow, match="line 2"):
         load_table("ok\tuniprot:1\nbroken-row-without-tab\n")
+
+
+def test_rows_end_at_newline_only():
+    # U+2028 and a form feed are line ends to str.splitlines, not to a TSV row.
+    table = load_table("GSK3\u2028b\tUniProt:P49841\nRAF1\x0cx\tuniprot:P04049\n")
+    assert table.entries == {"gsk3 b": "UniProt:P49841", "raf1 x": "uniprot:P04049"}
+    assert table.ground("GSK3\u2028b") == "UniProt:P49841"
+
+
+def test_crlf_table_loads_as_its_lf_twin():
+    with open(Path(grounding.__file__).parent / "data" / "grounding.tsv", encoding="utf-8") as f:
+        rows = f.read()
+    assert "\r" not in rows
+    crlf = load_table(rows.replace("\n", "\r\n"))
+    assert crlf.entries == default_table().entries and len(crlf) > 0
+    assert crlf.dropped_duplicates == default_table().dropped_duplicates
 
 
 def test_normalize_is_idempotent():

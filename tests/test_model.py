@@ -350,7 +350,9 @@ RECORDS = [
                       "grounding": default_table()},
      {"disabled_sieves": frozenset(), "trace": False}, False),
     (AdjudicationRecord, {"event_id": "E1", "judgment": Fraction(1)}, {"error_class": None}, True),
-    (RunOutput, {"doc_id": "d", "completed": []}, {}, False),
+    (RunOutput, {"doc_id": "d", "completed": [CompletedEvent(
+        "E1", 5, 9, "Phosphorylation", (EventArg("theme", "T1"),), "Unspecified", "E1")]},
+     {}, False),
 ]
 
 

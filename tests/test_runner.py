@@ -16,7 +16,7 @@ from pathlib import Path, PurePath
 
 import pytest
 
-from biocoref import cli, workers
+from biocoref import cli, standoff, workers
 from biocoref.resolver import resolve_document
 from biocoref.standoff import load_document
 from synth import synth_doc
@@ -59,7 +59,7 @@ STREAM_RULE = [
 def documents(data, size):
     """``_documents`` of ``data`` read ``size`` bytes at a time: a stream's
     numbered lines as a list, or None for one document."""
-    docs = cli._documents(io.BytesIO(data), size)
+    docs = standoff._documents(io.BytesIO(data), size)
     return None if docs is None else list(docs)
 
 
@@ -158,7 +158,7 @@ def random_texts(seed, count=2000):
 
 def test_stream_rule_agrees_with_the_reference_on_random_texts():
     for data in random_texts(10):
-        assert documents(data, cli._READ_SIZE) == reference_rule(data), data
+        assert documents(data, standoff._READ_SIZE) == reference_rule(data), data
 
 
 def record(data, numbered):
@@ -183,7 +183,7 @@ def test_the_first_line_rule_changes_no_outcome():
     differ = 0
     for data in inputs:
         old = old_rule(data)
-        for size in (4, cli._READ_SIZE):
+        for size in (4, standoff._READ_SIZE):
             new = documents(data, size)
             if new != old:
                 differ += 1
@@ -206,7 +206,7 @@ def test_the_newline_rule_changes_only_inputs_that_str_splitlines_splits_otherwi
     changed = {True: 0, False: 0}  # by whether the input now resolves
     for data in inputs:
         before = record(data, splitlines_rule(data))
-        for size in (4, cli._READ_SIZE):
+        for size in (4, standoff._READ_SIZE):
             after = record(data, documents(data, size))
             if splits_alike(data):
                 assert after == before, (data, size)
@@ -222,14 +222,14 @@ def test_an_indented_document_is_not_read_whole():
     data = text.encode("utf-8")
     assert len(data) > 900_000 and text.splitlines()[0] == "{"
     file = io.BytesIO(data)
-    assert cli._documents(file, 4096) is None
+    assert standoff._documents(file, 4096) is None
     assert file.tell() <= 2 * 4096
 
 
 def test_a_stream_is_read_as_its_documents_are_taken():
     data = ndjson(minimal(f"d{i}") for i in range(1000))
     file = io.BytesIO(data)
-    docs = cli._documents(file, 256)
+    docs = standoff._documents(file, 256)
     assert next(docs) == (1, json.dumps(minimal("d0")).encode())
     assert file.tell() <= 512 < len(data)
 
@@ -488,7 +488,7 @@ def test_a_document_undecodable_past_the_first_read_fails_in_its_worker(tmp_path
     # The main process reads the indented file only as far as its second
     # line and decodes only its first, so wherever the bad byte lies, the
     # worker meets it and reports it as MalformedInput.
-    data = json.dumps(minimal("d", "x" * 2 * cli._READ_SIZE), indent=2).encode()
+    data = json.dumps(minimal("d", "x" * 2 * standoff._READ_SIZE), indent=2).encode()
     data = data[:place] + b"\xff" + data[place:][1:]
     with pytest.raises(UnicodeDecodeError) as whole:
         data.decode("utf-8")

@@ -19,7 +19,9 @@ from biocoref.model import (
     Sentence,
     Token,
 )
-from biocoref.standoff import document_from_dict, load_document, load_result, save_result
+from biocoref.schema import default_schema
+from biocoref.standoff import (document_from_dict, load_document, load_result, read_results,
+                               save_result)
 
 import fixture_corpus
 from conftest import load_fixture
@@ -174,7 +176,7 @@ def test_result_round_trip_with_provenance_after_the_records_are_freed(corpus, l
 def test_document_from_dict_empties_the_record_lists_it_is_given(corpus):
     raw = json.loads(json.dumps(corpus["ex12_foxp3"]))
     raw["links"] = [{"anaphor": "T2", "antecedents": ["T1"], "sieve": "pronominal"}]
-    doc = document_from_dict(raw)
+    doc = document_from_dict(raw, default_schema())
     assert doc == load_fixture(corpus, "ex12_foxp3") and doc.entities and doc.events
     assert raw["sentences"] == raw["entities"] == raw["events"] == []
     assert (raw["doc_id"], raw["text"]) == (doc.doc_id, doc.text)
@@ -215,6 +217,28 @@ def test_load_result_checks_what_save_result_checks(corpus, config, edit, messag
     edit(raw)
     with pytest.raises(SchemaViolation, match=message):
         load_result(json.dumps(raw))
+
+
+def test_read_results_reads_a_stream_as_its_files(tmp_path, corpus):
+    config = resolver.ResolverConfig.default(trace=True)
+    files = tmp_path / "files"
+    files.mkdir()
+    lines = []
+    for doc_id, raw in sorted(corpus.items()):
+        res = resolver.resolve_document(load_document(json.dumps(raw)), config)
+        (files / f"{doc_id}.json").write_bytes(res.to_bytes(emit_provenance=True))
+        lines.append(res.to_bytes(emit_provenance=True, line=True))
+    (tmp_path / "stream.json").write_bytes(b"".join(lines))
+    from_files = list(read_results(files))
+    from_stream = list(read_results(tmp_path / "stream.json"))
+    assert [r[0] for r in from_files] == [None] * len(lines) and len(lines) == 22
+    assert [r[0] for r in from_stream] == list(range(1, 23))
+    assert [r[1:] for r in from_stream] == [r[1:] for r in from_files]
+    assert [r[1:4] for r in from_stream] == [load_result(line) for line in lines]
+    assert [r[4] for r in from_stream] == [json.loads(line)["trace"] for line in lines]
+    assert any(r[4] for r in from_stream)
+    i = sorted(corpus).index("ex12_foxp3")
+    assert list(read_results(files / "ex12_foxp3.json")) == from_files[i:i + 1]
 
 
 def test_unicode_offsets_count_characters(corpus):

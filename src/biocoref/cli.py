@@ -46,7 +46,7 @@ from .detection import default_lexicon, load_lexicon_file
 from .grounding import default_table, load_table_file
 from .resolver import ResolverConfig, resolve_document, validate_disabled
 from .schema import default_schema, load_schema_file
-from .standoff import _READ_SIZE, _documents, load_document, read_results
+from .standoff import _READ_SIZE, _documents, _text, load_document, read_results
 
 # The most documents one task holds. With at most _TASKS_PER_JOB tasks per
 # worker handed out and not yet written, the main process holds a window of
@@ -76,8 +76,10 @@ def _resolve_task(task: list[tuple[str | bytes, str | None]], config: ResolverCo
     main process created for it: its indented result is written into it and
     ``output`` is None. A stream line travels as its bytes: its ``source``
     is the line, decoded here, and it has no part: ``output`` is its compact
-    NDJSON line. Each document is taken out of ``task`` as it is resolved,
-    so its bytes are dropped once it is loaded."""
+    NDJSON line; a line given as text, a ``str``, is parsed as it is. Each
+    document is taken out of ``task`` as it is resolved, and its bytes are
+    dropped once they are decoded, so the parse never holds them beside
+    their text."""
     results = []
     for i in range(len(task)):
         source, part = task[i]
@@ -86,6 +88,7 @@ def _resolve_task(task: list[tuple[str | bytes, str | None]], config: ResolverCo
             if part is not None:  # a file changed since the main process read it fails here
                 with open(source, "rb") as file:
                     source = file.read()
+            source = _text(source)  # the bytes are dropped before the text is parsed
             doc = load_document(source, schema=config.schema)
             del source
             resolution = resolve_document(doc, config)
@@ -145,10 +148,11 @@ def _tasks(paths: list[str], jobs: int, out_dir: str,
     them, in input order: ``(input, line, False, None)`` for each document,
     ``input`` being its file's index in ``paths``, and ``(input, None, True,
     error)`` after a file's documents, ``error`` being the error that
-    reading the file or creating its part raised, or None. A file's end goes in the ``where`` of the last document
-    read before it, or of the first task if there is none; when no file has
-    a document, that task is empty. A stream that fails part way has handed
-    out its first documents already."""
+    reading the file or creating its part raised, or None. A file's end goes
+    in the ``where`` of the last document read before it, or of the first
+    task if there is none; when no file has a document, that task is empty.
+    A stream that fails part way has handed out its first documents
+    already."""
     task: list[tuple[str | bytes, str | None]] = []
     where: list[tuple[int, int | None, bool, str | None]] = []
     singles = min(_WINDOW, _task_size(len(paths), jobs))

@@ -534,6 +534,35 @@ def test_eval_reports_a_stream_as_it_reports_its_files(tmp_path, corpus_dir, run
         assert ("baseline_run_events" in counts) == with_baseline
 
 
+# Runs eval on the result file named last and prints to stderr how many
+# times that file was opened, as the interpreter's audit hook sees it.
+OPENS = """
+import sys
+from biocoref import cli
+result, opens = sys.argv[-1], []
+sys.addaudithook(lambda event, args: event == "open" and str(args[0]) == result
+                 and opens.append(args[1]))
+code = cli.main(sys.argv[1:])
+print(len(opens), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_eval_opens_a_single_result_file_once(run_dir):
+    from biocoref.evaluation import RunOutput, json_report, throughput
+    from biocoref.standoff import load_result
+
+    out, _ = run_dir
+    result = out / "ex12_foxp3.json"
+    proc = subprocess.run([sys.executable, "-c", OPENS, "eval", "--json", "--system",
+                           str(result)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "1\n"
+    doc, _, completed = load_result(result.read_bytes())
+    report = json_report(throughput([RunOutput(doc.doc_id, completed)]))
+    assert proc.stdout == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("stream", [False, True], ids=["file", "stream"])
 def test_eval_refuses_a_link_to_an_unknown_mention(tmp_path, run_dir, stream):
     out, _ = run_dir

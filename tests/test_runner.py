@@ -1,6 +1,7 @@
 """The resolve runner's reader and its bounded window of documents: line
 splitting, the stream rule, flat memory, early exits and atomic outputs."""
 
+import gc
 import io
 import json
 import marshal
@@ -255,6 +256,27 @@ def test_a_single_document_is_written_into_its_part_and_not_returned(tmp_path, c
     assert missed.startswith("FileNotFoundError: ") and not missing.exists()
     # A file gone since the main process read it fails its document only.
     assert unread.startswith("FileNotFoundError: ") and gone.read_bytes() == b""
+
+
+def test_a_source_resolves_alike_as_bytes_and_as_text(tmp_path, config):
+    # A worker decodes a line's bytes and drops them before it parses the
+    # text; a caller may hand it the text, and gets the same results.
+    for path in sorted(FIXTURES.glob("ex*.json")):
+        data = path.read_bytes()
+        assert (cli._resolve_task([(data, None)], config)
+                == cli._resolve_task([(data.decode("utf-8"), None)], config))
+    # Bytes that do not decode fail alike as a line and as a file, with the
+    # decode error as its MalformedInput.
+    bad = json.dumps(minimal("d", "xx")).encode().replace(b"xx", b"x\xff")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        bad.decode("utf-8")
+    (tmp_path / "bad.json").write_bytes(bad)
+    part = tmp_path / ".bad.json.part"
+    part.write_bytes(b"")
+    failure = (None, None, f"MalformedInput: {exc.value}")
+    assert cli._resolve_task([(bad, None), (str(tmp_path / "bad.json"), str(part))],
+                             config) == [failure, failure]
+    assert part.read_bytes() == b""
 
 
 def test_a_single_document_travels_as_its_path_and_a_stream_line_as_its_text(tmp_path):
@@ -618,6 +640,57 @@ def test_a_worker_stops_at_the_end_of_its_task_pipe_or_of_its_result_pipe():
     os.close(results[0])
     with pytest.raises(BrokenPipeError):  # no one reads its results
         workers.serve(list, tasks[0], results[1])
+
+
+POLICY = """
+import gc, weakref
+from biocoref import workers
+
+class Cycle:
+    pass
+
+last = []
+
+def work(task):
+    # For each document: whether the automatic collector is on, whether
+    # anything is frozen, and whether the cycle that the document before it
+    # left is gone.
+    results = []
+    for _ in task:
+        gone = last[0]() is None if last else None
+        cycle = Cycle()
+        cycle.self = cycle
+        last[:] = [weakref.ref(cycle)]
+        del cycle
+        results.append((gc.isenabled(), gc.get_freeze_count() > 0, gone))
+    return results
+
+pool = workers.Pool(work)
+pool.start(1)
+try:
+    print(pool.submit(["a", "b", "c"])())
+finally:
+    pool.stop()
+print(gc.isenabled(), gc.get_freeze_count())
+"""
+
+
+def test_a_worker_collects_garbage_after_each_document_and_not_by_count():
+    # The task holds three documents, so a cycle is collected between two
+    # documents of one task. The pool is started in a subprocess, so the
+    # test process never forks.
+    code, stdout, stderr = bounded([sys.executable, "-c", POLICY], 60, "the pool hung")
+    assert code == 0, stderr
+    assert stdout.splitlines() == [
+        str([(False, True, None), (False, True, True), (False, True, True)]),
+        "True 0"]  # the main process's collector is left as it was
+
+
+def test_a_run_without_workers_leaves_the_callers_collector_alone(tmp_path):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli.main(["resolve", "--in", str(FIXTURES / "ex12_foxp3.json"),
+                     "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 SLOW = """

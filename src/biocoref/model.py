@@ -189,12 +189,12 @@ def validate_document(doc: Document, event_types: frozenset[str] | None) -> None
         if ev.polarity not in POLARITIES:
             raise SchemaViolation(f"{ev.id}: unknown polarity {ev.polarity!r}")
 
-    known = seen | event_ids
     for ev in doc.events:
         for arg in ev.args:
-            if arg.ref not in known:
+            if arg.ref not in seen and arg.ref not in event_ids:
                 raise SchemaViolation(f"{arg.ref}")
 
+    del starts, seen, event_ids  # not held while the events are ordered
     event_order(doc)
 
 
@@ -207,18 +207,20 @@ def _covered_by_sentence(doc: Document, starts: list[int], start: int, end: int)
 def event_order(doc: Document, children: dict[str, list[str]] | None = None) -> list[str]:
     """Event ids of ``doc`` children first, walked from each event in document order.
 
-    ``children`` maps every event id to the ids of the events it is built
-    from, each of them a key too; by default, the event-valued arguments.
-    The walk is iterative, so nesting depth is not bounded by the recursion
-    limit. A cycle raises SchemaViolation naming the path that closes it.
+    ``children`` maps event ids to the ids of the events each is built
+    from, an event built from none being absent or mapped to an empty list;
+    by default, the event-valued arguments. The walk is iterative, so
+    nesting depth is not bounded by the recursion limit. A cycle raises
+    SchemaViolation naming the path that closes it.
     """
     if children is None:
         ids = {ev.id for ev in doc.events}
-        children = {ev.id: [a.ref for a in ev.args if a.ref in ids] for ev in doc.events}
+        children = {ev.id: kids for ev in doc.events
+                    if (kids := [a.ref for a in ev.args if a.ref in ids])}
     order: list[str] = []
     placed: set[str] = set()
     for ev in doc.events:
-        root, kids = ev.id, children[ev.id]
+        root, kids = ev.id, children.get(ev.id)
         if root in placed:
             continue
         if not kids:
@@ -234,7 +236,7 @@ def event_order(doc: Document, children: dict[str, list[str]] | None = None) -> 
                     raise SchemaViolation(
                         f"{child}: event reference cycle via {'->'.join(path)}->{child}")
                 path.append(child)
-                todo.append(iter(children[child]))
+                todo.append(iter(children.get(child, ())))
                 on_path.add(child)
                 break
             else:

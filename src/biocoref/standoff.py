@@ -20,23 +20,26 @@ each result is the bytes ``json.dumps(ensure_ascii=False)`` gives for it as an
 indented file (``indent=2``) or a compact stream line. ``save_result`` is the
 one writer: it formats the model straight into one table of ``%``-templates
 per layout, one template per record shape, the provenance ``chains`` and
-``trace`` included, so no generic JSON encoder is involved. It encodes
-the text and each record by itself, so that no string of the whole result is
-built: returning a result's bytes takes about two to three times its size on
-top of the model, whatever characters its text holds, and writing them to a
-file as they are encoded takes less than twice. ``read_results`` is the one
-reader: it tells a stream as ``resolve`` does and checks as ``load_result``.
+``trace`` included, so no generic JSON encoder is involved. It formats and
+encodes the text and each record by itself as it writes it, so that no
+string of the whole result, nor of a whole list, is built: returning a
+result's bytes takes about two to three times its size on top of the model,
+whatever characters its text holds, and writing them to a file holds a
+small fraction of it. ``read_results`` is the one reader: it tells a stream
+as ``resolve`` does and checks as ``load_result``.
 
-``load_document`` parses the whole JSON tree, then ``document_from_dict``
-builds the model from it and frees each parsed record, with its token,
-mutation or argument lists, as soon as that record's model record is built.
-The model is smaller than the tree, so loading peaks at ``json.loads``'s own
-peak and never holds the whole tree beside the whole model. A worker decodes
-an input's bytes with ``_text`` and drops them before the text is parsed, so
-the parse never holds the bytes beside their text. On a 1,600-sentence
-document that took loading's traced peak from 7.25 to 6.46 MiB, below the
-6.60 MiB of saving the result to its file: saving now sets a long
-document's peak in a worker, and is the next ceiling.
+``load_document`` reads a long document one record at a time (``_scan``):
+each record is parsed, built into its model record and dropped before the
+next is read, so no JSON tree of the document is ever built. Short ones,
+and any input the scan hands off, are read by ``json.loads`` and
+``document_from_dict``, the reference path, which frees each parsed record
+as its model record is built and names the first fault of a bad input.
+Either way a document keeps one string object per distinct value: ids and
+the refs that name them, labels, types, roles and surfaces. A worker
+decodes an input's bytes with ``_text`` and drops them before the text is
+parsed. Traced on a 1,600-sentence document, loading it peaks at 4.67 MiB,
+resolving it at 4.94 and saving the result to its file at 3.73, for a model
+of 2.65 MiB: resolving sets a long document's peak in a worker.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import re
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 from .model import (
     CompletedEvent,
@@ -111,6 +114,118 @@ def _require_strs(obj: dict, key: str, where: str, optional: bool = False) -> li
 _NO_ITEMS: list = []
 
 
+def _sentences(records: Iterable, text: str, doc_id: str, share: Callable[[Any, Any], Any]
+               ) -> list[Sentence]:
+    """The Sentences of the parsed ``records``, taken one at a time, their
+    tokens' surfaces sliced from ``text``. A record whose fields all have
+    their exact JSON types is built directly; any other goes through the
+    ``_require*`` checks, which name its first fault. So do ``_entities``
+    and ``_events``.
+
+    ``share`` is the ``setdefault`` of a dict of the document's strings,
+    one object per distinct value: each string a record holds is the first
+    equal one shared, so a value repeated across records, a ``ref`` and the
+    id it names, or a surface and its token's, is held once."""
+    sentences = []
+    for s in records:
+        # A sentence's tokens are read before its own fields.
+        fast = (type(s) is dict and type(items := s.get("tokens", _NO_ITEMS)) is list
+                and type(index := s.get("index")) is int
+                and type(sent_start := s.get("start")) is int
+                and type(sent_end := s.get("end")) is int)
+        if not fast:
+            items = _require_list(s, "tokens", f"{doc_id} sentence", optional=True)
+        tokens = []
+        for t in items:
+            if not (type(t) is dict and type(start := t.get("start")) is int
+                    and type(end := t.get("end")) is int
+                    and ((pos := t.get("pos")) is None or type(pos) is str)):
+                where = f"{doc_id} token"
+                start = _require_int(t, "start", where)
+                end = _require_int(t, "end", where)
+                pos = _optional_str(t, "pos", where)
+            surface = text[start:end]
+            tokens.append(Token(start, end, share(surface, surface),
+                                None if pos is None else share(pos, pos)))
+        if not fast:
+            where = f"{doc_id} sentence"
+            index = _require_int(s, "index", where)
+            sent_start = _require_int(s, "start", where)
+            sent_end = _require_int(s, "end", where)
+        sentences.append(Sentence(index, sent_start, sent_end, tuple(tokens)))
+    return sentences
+
+
+def _entities(records: Iterable, text: str, doc_id: str, share: Callable[[Any, Any], Any]
+              ) -> list[EntityMention]:
+    entities = []
+    for e in records:
+        fast = (type(e) is dict and type(ent_id := e.get("id")) is str
+                and type(start := e.get("start")) is int and type(end := e.get("end")) is int
+                and type(items := e.get("mutations", _NO_ITEMS)) is list
+                and type(label := e.get("label")) is str
+                and ((grounding := e.get("grounding")) is None or type(grounding) is str))
+        if not fast:
+            ent_id = _require_str(e, "id", f"{doc_id} entity")
+            start = _require_int(e, "start", ent_id)
+            end = _require_int(e, "end", ent_id)
+            items = _require_list(e, "mutations", f"{doc_id} {ent_id}", optional=True)
+        mutations = []
+        for m in items:
+            if not (type(m) is dict and type(kind := m.get("kind")) is str
+                    and ((mut_label := m.get("label")) is None or type(mut_label) is str)):
+                where = f"{doc_id} {ent_id}"
+                kind = _require_str(m, "kind", where)
+                mut_label = _optional_str(m, "label", where)
+            if mut_label is not None:
+                mut_label = share(mut_label, mut_label)
+            mutations.append(MutationRecord(share(kind, kind), mut_label))
+        if not fast:
+            label = _require_str(e, "label", ent_id)
+            grounding = _optional_str(e, "grounding", ent_id)
+        surface = text[start:end] if 0 <= start <= end <= len(text) else ""
+        entities.append(EntityMention(share(ent_id, ent_id), start, end, share(label, label),
+                                      share(surface, surface),
+                                      None if grounding is None else share(grounding, grounding),
+                                      tuple(mutations)))
+    return entities
+
+
+def _events(records: Iterable, text: str, doc_id: str, share: Callable[[Any, Any], Any]
+            ) -> list[EventMention]:
+    events = []
+    for ev in records:
+        fast = (type(ev) is dict and type(ev_id := ev.get("id")) is str
+                and type(items := ev.get("args", _NO_ITEMS)) is list
+                and type(trigger_start := ev.get("trigger_start")) is int
+                and type(trigger_end := ev.get("trigger_end")) is int
+                and type(event_type := ev.get("type")) is str
+                and type(polarity := ev.get("polarity", "Unspecified")) is str)
+        if not fast:
+            ev_id = _require_str(ev, "id", f"{doc_id} event")
+            items = _require_list(ev, "args", f"{doc_id} {ev_id}", optional=True)
+        args = []
+        for a in items:
+            if not (type(a) is dict and type(role := a.get("role")) is str
+                    and type(ref := a.get("ref")) is str):
+                where = f"{doc_id} {ev_id}"
+                role, ref = _require_str(a, "role", where), _require_str(a, "ref", where)
+            args.append(EventArg(share(role, role), share(ref, ref)))
+        if not fast:
+            trigger_start = _require_int(ev, "trigger_start", ev_id)
+            trigger_end = _require_int(ev, "trigger_end", ev_id)
+            event_type = _require_str(ev, "type", ev_id)
+            polarity = _optional_str(ev, "polarity", ev_id, "Unspecified")
+        events.append(EventMention(share(ev_id, ev_id), trigger_start, trigger_end,
+                                   share(event_type, event_type), tuple(args),
+                                   share(polarity, polarity)))
+    return events
+
+
+# How each record list is built, in the order the reference path reads them.
+_RECORDS = {"sentences": _sentences, "entities": _entities, "events": _events}
+
+
 def _drain(records: list) -> Iterator:
     """Each item of ``records`` in order, its slot cleared as it is taken, so
     that a parsed record is freed once the next one is read; the list ends
@@ -149,18 +264,23 @@ def load_document(data: bytes | str, schema: ArgSchema | None = None) -> Documen
     Loading is pure: the same bytes always yield the same Document. Event
     types and argument roles are checked against ``schema`` (the bundled
     default when omitted), so unknown ones are rejected here.
+
+    A document of at least ``_SCAN_FROM`` characters is read by ``_scan``,
+    one record at a time; what the scan does not take, and every shorter
+    document, is read by ``json.loads`` and ``document_from_dict``, the
+    reference path, which also names the first fault of an input that
+    neither takes.
     """
-    return document_from_dict(_parse_object(data), default_schema() if schema is None else schema)
+    text = _text(data)
+    schema = default_schema() if schema is None else schema
+    doc = _scan(text, schema) if len(text) >= _SCAN_FROM else None
+    return doc if doc is not None else document_from_dict(_parse_object(text), schema)
 
 
 def document_from_dict(raw: dict, schema: ArgSchema | None) -> Document:
     """Build a Document from one parsed standoff object and validate it:
     its event types, roles and fillers' classes against ``schema``, unless
     it is None, as for a result, whose input was checked when it was loaded.
-
-    A record whose fields all have their exact JSON types is built directly;
-    any other record goes through the ``_require*`` checks, which name its
-    first fault.
 
     ``raw`` is consumed: its ``sentences``, ``entities`` and ``events`` lists
     are emptied record by record as the model is built, so a parsed record
@@ -170,92 +290,107 @@ def document_from_dict(raw: dict, schema: ArgSchema | None) -> Document:
     """
     doc_id = _require_str(raw, "doc_id", "document")
     text = _require_str(raw, "text", doc_id)
-    token_where, sentence_where = f"{doc_id} token", f"{doc_id} sentence"
+    strings: dict[str, str] = {}
+    share = strings.setdefault
+    records = [build(_drain(_require_list(raw, key, doc_id)), text, doc_id, share)
+               for key, build in _RECORDS.items()]
+    del strings, share  # the records hold their strings; the table is not held while checking
+    return _checked(Document(doc_id, text, *map(tuple, records)), schema)
 
-    sentences = []
-    for s in _drain(_require_list(raw, "sentences", doc_id)):
-        # A sentence's tokens are read before its own fields.
-        fast = (type(s) is dict and type(items := s.get("tokens", _NO_ITEMS)) is list
-                and type(index := s.get("index")) is int
-                and type(sent_start := s.get("start")) is int
-                and type(sent_end := s.get("end")) is int)
-        if not fast:
-            items = _require_list(s, "tokens", sentence_where, optional=True)
-        tokens = []
-        for t in items:
-            if not (type(t) is dict and type(start := t.get("start")) is int
-                    and type(end := t.get("end")) is int
-                    and ((pos := t.get("pos")) is None or type(pos) is str)):
-                start = _require_int(t, "start", token_where)
-                end = _require_int(t, "end", token_where)
-                pos = _optional_str(t, "pos", token_where)
-            tokens.append(Token(start, end, text[start:end], pos))
-        if not fast:
-            index = _require_int(s, "index", sentence_where)
-            sent_start = _require_int(s, "start", sentence_where)
-            sent_end = _require_int(s, "end", sentence_where)
-        sentences.append(Sentence(index, sent_start, sent_end, tuple(tokens)))
 
-    entities = []
-    for e in _drain(_require_list(raw, "entities", doc_id)):
-        fast = (type(e) is dict and type(ent_id := e.get("id")) is str
-                and type(start := e.get("start")) is int and type(end := e.get("end")) is int
-                and type(items := e.get("mutations", _NO_ITEMS)) is list
-                and type(label := e.get("label")) is str
-                and ((grounding := e.get("grounding")) is None or type(grounding) is str))
-        if not fast:
-            ent_id = _require_str(e, "id", f"{doc_id} entity")
-            start = _require_int(e, "start", ent_id)
-            end = _require_int(e, "end", ent_id)
-            items = _require_list(e, "mutations", f"{doc_id} {ent_id}", optional=True)
-        mutations = []
-        for m in items:
-            if not (type(m) is dict and type(kind := m.get("kind")) is str
-                    and ((mut_label := m.get("label")) is None or type(mut_label) is str)):
-                where = f"{doc_id} {ent_id}"
-                kind = _require_str(m, "kind", where)
-                mut_label = _optional_str(m, "label", where)
-            mutations.append(MutationRecord(kind, mut_label))
-        if not fast:
-            label = _require_str(e, "label", ent_id)
-            grounding = _optional_str(e, "grounding", ent_id)
-        surface = text[start:end] if 0 <= start <= end <= len(text) else ""
-        entities.append(EntityMention(ent_id, start, end, label, surface, grounding,
-                                      tuple(mutations)))
+_SCAN_FROM = 1 << 16  # characters from which a document is read by ``_scan``
+_SCAN_ONCE = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
+# A punctuation character, with the JSON whitespace around it.
+_PUNCT = re.compile(r"[ \t\n\r]*([,:\[\]{}])[ \t\n\r]*")
+_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*")  # the one between a list's items
 
-    events = []
-    for ev in _drain(_require_list(raw, "events", doc_id)):
-        fast = (type(ev) is dict and type(ev_id := ev.get("id")) is str
-                and type(items := ev.get("args", _NO_ITEMS)) is list
-                and type(trigger_start := ev.get("trigger_start")) is int
-                and type(trigger_end := ev.get("trigger_end")) is int
-                and type(event_type := ev.get("type")) is str
-                and type(polarity := ev.get("polarity", "Unspecified")) is str)
-        if not fast:
-            ev_id = _require_str(ev, "id", f"{doc_id} event")
-            items = _require_list(ev, "args", f"{doc_id} {ev_id}", optional=True)
-        args = []
-        for a in items:
-            if not (type(a) is dict and type(role := a.get("role")) is str
-                    and type(ref := a.get("ref")) is str):
-                where = f"{doc_id} {ev_id}"
-                role, ref = _require_str(a, "role", where), _require_str(a, "ref", where)
-            args.append(EventArg(role, ref))
-        if not fast:
-            trigger_start = _require_int(ev, "trigger_start", ev_id)
-            trigger_end = _require_int(ev, "trigger_end", ev_id)
-            event_type = _require_str(ev, "type", ev_id)
-            polarity = _optional_str(ev, "polarity", ev_id, "Unspecified")
-        events.append(EventMention(ev_id, trigger_start, trigger_end, event_type,
-                                   tuple(args), polarity))
 
-    doc = Document(
-        doc_id=doc_id,
-        text=text,
-        sentences=tuple(sentences),
-        entities=tuple(entities),
-        events=tuple(events),
-    )
+def _scan(source: str, schema: ArgSchema | None) -> Document | None:
+    """The Document the JSON text ``source`` holds, read as ``json.loads``
+    and ``document_from_dict`` read it, or None for the reference path to
+    read instead.
+
+    The top-level object is read key by key, and each record list one
+    record at a time: each record is parsed as the code that builds it for
+    ``document_from_dict`` takes it, and freed once the next is taken, so no
+    tree of the whole document is built. The values of other
+    keys are parsed and dropped. None, for the reference path, when the top
+    level is not an object, a key repeats, ``doc_id`` or ``text`` is not a
+    string read before the first record list, a record list is missing or
+    not a list, data follows the object, or on any JSON or schema fault,
+    whose message the reference path then gives.
+    """
+    scan, punct, comma = _SCAN_ONCE, _PUNCT.match, _COMMA.match
+    fields: dict[str, Any] = {}  # each key read; the value of doc_id, text and each list
+    strings: dict[str, str] = {}
+    share = strings.setdefault
+    pos = 0
+
+    def records() -> Iterator:
+        """Each record of the list that starts at ``pos``, after its "[",
+        parsed as it is taken; ``pos`` then follows the list's "]". A fault
+        raises ValueError."""
+        nonlocal pos
+        if source.startswith("]", pos):
+            pos += 1
+            return
+        while True:
+            try:
+                record, pos = scan(source, pos)
+            except StopIteration:  # out of a generator it would be a RuntimeError
+                raise ValueError("no JSON value where a record was due") from None
+            yield record
+            del record  # built: not held here while the next is parsed
+            m = comma(source, pos)
+            if m is None:
+                break
+            pos = m.end()
+        m = punct(source, pos)
+        if m is None or m[1] != "]":
+            raise ValueError("no end to a list of records")
+        pos = m.end()
+
+    try:
+        m = punct(source)
+        if m is None or m[1] != "{":
+            return None
+        while True:
+            key, pos = scan(source, m.end())
+            if type(key) is not str or key in fields:
+                return None
+            m = punct(source, pos)
+            if m is None or m[1] != ":":
+                return None
+            build = _RECORDS.get(key)
+            if build is None:
+                value, pos = scan(source, m.end())
+                fields[key] = value if key in ("doc_id", "text") else None
+                del value
+            else:
+                doc_id, text = fields.get("doc_id"), fields.get("text")
+                m = punct(source, m.end())
+                if type(doc_id) is not str or type(text) is not str or m is None or m[1] != "[":
+                    return None
+                pos = m.end()
+                fields[key] = build(records(), text, doc_id, share)
+            m = punct(source, pos)
+            if m is None or m[1] != ",":
+                break
+        if m is None or m[1] != "}" or m.end() != len(source) \
+                or not all(key in fields for key in _RECORDS):
+            return None
+        del strings, share  # as in document_from_dict
+        return _checked(Document(fields["doc_id"], fields["text"],
+                                 *(tuple(fields.pop(key)) for key in _RECORDS)), schema)
+    # StopIteration: no JSON value where one was due; RecursionError: nesting too deep.
+    except (ValueError, StopIteration, RecursionError):  # ValueError: any other fault
+        return None
+
+
+def _checked(doc: Document, schema: ArgSchema | None) -> Document:
+    """``doc``, once it holds every document invariant and, unless
+    ``schema`` is None, its event types, argument roles and fillers'
+    classes are in ``schema``."""
     validate_document(doc, event_types=None if schema is None else schema.event_types)
     if schema is None:
         return doc
@@ -413,56 +548,57 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
     an indented result file, or with ``line`` one compact NDJSON line.
 
     No string of the whole result is built. The text and each record of the
-    result's lists are encoded to UTF-8 by themselves, and each list's
-    strings are dropped once they are encoded. So a non-ASCII character,
-    which makes a ``str`` take two or four bytes per character, widens only
-    its own piece. Without ``file`` the pieces are joined once and returned,
-    and the transient stays near two to three times the result. With
-    ``file``, a binary file open for writing, each piece is written to it as
-    soon as it is encoded and nothing is returned, so no copy of the whole
-    result is built.
+    result's lists are formatted and encoded to UTF-8 by themselves, as they
+    are written, so a non-ASCII character, which makes a ``str`` take two or
+    four bytes per character, widens only its own piece. Without ``file``
+    the pieces are joined once and returned, and the transient stays near
+    two to three times the result. With ``file``, a binary file open for
+    writing, each piece is written to it as soon as it is encoded and
+    nothing is returned: what is held beyond the resolution is the checks'
+    id table, the encoded text and one record, and a value that cannot be
+    encoded raises part way through the file.
     """
     _check_result(doc, links, completed)
     t = _LINE if line else _FILE
     enc, inner, top, sep = encode_basestring, t.inner, t.top, t.sep
     token, token_pos, sentence = t.token, t.token_pos, t.sentence
     lists = [
-        (top[2], [sentence % (s.index, s.start, s.end, _join(inner, [
+        (top[2], (sentence % (s.index, s.start, s.end, _join(inner, [
             token % (k.start, k.end) if k.pos_hint is None
             else token_pos % (k.start, k.end, enc(k.pos_hint)) for k in s.tokens]))
-            for s in doc.sentences]),
-        (top[3], [t.entity % (
+            for s in doc.sentences)),
+        (top[3], (t.entity % (
             enc(e.id), e.start, e.end, enc(e.label),
             "" if e.grounding_id is None else t.grounding % enc(e.grounding_id),
             t.mutations % _join(inner, [
                 t.mutation % enc(m.kind) if m.label is None
                 else t.mutation_label % (enc(m.kind), enc(m.label)) for m in e.mutations])
             if e.mutations else "")
-            for e in doc.entities]),
-        (top[4], [_event(t, ev) for ev in doc.events]),
-        (top[5], [t.link % (enc(l.anaphor_id), _join(inner, [enc(a) for a in l.antecedent_ids]),
-                            enc(l.sieve_name)) for l in links]),
-        (top[6], [_event(t, c, t.completed % (
+            for e in doc.entities)),
+        (top[4], (_event(t, ev) for ev in doc.events)),
+        (top[5], (t.link % (enc(l.anaphor_id), _join(inner, [enc(a) for a in l.antecedent_ids]),
+                            enc(l.sieve_name)) for l in links)),
+        (top[6], (_event(t, c, t.completed % (
             enc(c.derived_from), _join(inner, [enc(p) for p in c.provenance])))
-            for c in completed]),
+            for c in completed)),
     ]
     if chains is not None:
-        lists.append((t.chains, [sep + _join(t.chain_items, [enc(m) for m in chain])
-                                 for chain in chains]))
+        lists.append((t.chains, (sep + _join(t.chain_items, [enc(m) for m in chain])
+                                 for chain in chains)))
     if trace is not None:
-        lists.append((t.trace, [_trace_entry(t, entry) for entry in trace]))
+        lists.append((t.trace, (_trace_entry(t, entry) for entry in trace)))
     pieces: list[bytes] = []
     put = pieces.extend if file is None else file.writelines
     put((top[0], enc(doc.doc_id).encode(), top[1], enc(doc.text).encode()))
     for literal, items in lists:
-        if items:
-            items[0] = items[0][1:]  # the first item has no "," before it
-            put((literal, b"["))
-            put(map(str.encode, items))
-            put((t.close,))
-            items.clear()  # encoded: its strings are not held while the rest is
-        else:
+        first = next(items, None)
+        if first is None:
             put((literal, b"[]"))
+            continue
+        # The first item has no "," before it.
+        put((literal, b"[", first[1:].encode()))
+        put(map(str.encode, items))
+        put((t.close,))
     put((top[7],))
     return b"".join(pieces) if file is None else None
 

@@ -138,11 +138,14 @@ class Pool:
 
     def submit(self, task: list) -> Callable[[], list]:
         """Send ``task`` to the worker that holds the fewest, and return the
-        call that waits for its results."""
+        call that waits for its results. ``task`` is emptied once it is
+        marshalled, so that the caller's list does not hold its documents
+        while their bytes wait for the pipe and their results are awaited."""
         worker = min(self.workers, key=lambda w: len(w.held))
         data = marshal.dumps(task)
+        held = _Task(len(task))  # before the list is emptied: a dead worker fails this many
+        task.clear()
         worker.out += (len(data).to_bytes(_HEADER, "little"), data)
-        held = _Task(len(task))
         worker.held.append(held)
         self._send(worker)
         return partial(self._get, held)

@@ -608,6 +608,40 @@ def test_a_worker_that_dies_fails_its_documents_and_the_run_goes_on(tmp_path, st
     assert summary["docs"] == len(written)
 
 
+SUBMIT = """
+import os
+from biocoref import workers
+
+def work(task):
+    if task == ["dies"]:
+        os._exit(3)
+    return [(doc.upper(), None, None) for doc in task]
+
+pool = workers.Pool(work)
+pool.start(1)
+try:
+    for task in (["a", "b"], ["dies", "c", "d"], ["e"]):
+        get = pool.submit(task)
+        print(task, get())
+finally:
+    pool.stop()
+"""
+
+
+def test_a_submitted_task_is_emptied_and_a_dead_worker_still_fails_all_its_documents():
+    # The caller's list is emptied once the task is marshalled, so the main
+    # process does not hold the documents while it waits; a worker that dies
+    # in the second task still fails each of its three documents, and the
+    # worker that replaces it answers the third.
+    code, stdout, stderr = bounded([sys.executable, "-c", SUBMIT], 60, "the pool hung")
+    assert code == 0, stderr
+    failed = (None, None, "WorkerExited: exit status 3")
+    assert stdout.splitlines() == [
+        str([]) + " " + str([("A", None, None), ("B", None, None)]),
+        str([]) + " " + str([failed] * 3),
+        str([]) + " " + str([("E", None, None)])]
+
+
 def test_tasks_and_results_larger_than_a_pipe_do_not_deadlock(tmp_path):
     # 200 lines of 25 KB make three tasks of 64 lines, 1.6 MB each way,
     # against pipes that hold 64 KiB. The third goes to the first worker

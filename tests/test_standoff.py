@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from biocoref import resolver
+from biocoref import resolver, standoff
 from biocoref.model import (
     CompletedEvent,
     CorefLink,
@@ -26,6 +26,8 @@ from biocoref.standoff import (document_from_dict, load_document, load_result, r
 import fixture_corpus
 from conftest import load_fixture
 from synth import synth_corpus, synth_doc
+from test_fuzz import FIXTURES, MUTANTS, _mutate, _mutate_loadable
+from test_golden import _corpus
 
 
 def test_ex10_loads_expected_mentions(corpus):
@@ -181,6 +183,121 @@ def test_document_from_dict_empties_the_record_lists_it_is_given(corpus):
     assert raw["sentences"] == raw["entities"] == raw["events"] == []
     assert (raw["doc_id"], raw["text"]) == (doc.doc_id, doc.text)
     assert raw["links"] == [{"anaphor": "T2", "antecedents": ["T1"], "sieve": "pronominal"}]
+
+
+def _outcome(load, data):
+    """What ``load(data)`` gives: a Document, or the type and message of
+    what it raises."""
+    try:
+        return load(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _equivalence(monkeypatch, inputs, schema):
+    """Checks that each input read one record at a time, whatever its size,
+    gives what the reference path gives, ``json.loads`` and
+    ``document_from_dict``; returns how many the scan itself took."""
+    monkeypatch.setattr(standoff, "_SCAN_FROM", 0)
+    taken = 0
+    for data in inputs:
+        expected = _outcome(lambda d: document_from_dict(standoff._parse_object(d), schema), data)
+        assert _outcome(lambda d: load_document(d, schema), data) == expected, data[:200]
+        doc = standoff._scan(data, schema)
+        assert doc is None or doc == expected, data[:200]
+        taken += doc is not None
+    return taken
+
+
+def test_both_load_paths_agree_on_fixtures_and_synth_corpora(monkeypatch, corpus):
+    # Compact and indented: indent=2 puts whitespace between most tokens.
+    schema = default_schema()
+    docs = list(corpus.values()) + _corpus("synth") + _corpus("long")
+    inputs = [json.dumps(raw, ensure_ascii=False, indent=indent)
+              for raw in docs for indent in (None, 2)]
+    inputs += [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("ex*.json"))]
+    assert _equivalence(monkeypatch, inputs, schema) == len(inputs) == 2 * (22 + 400 + 2) + 22
+
+
+def test_both_load_paths_agree_on_every_fuzz_mutant(monkeypatch):
+    # Both families of tests/test_fuzz.py, drawn as it draws them. Every
+    # mutant that loads keeps its keys in order, so the scan takes each.
+    schema = default_schema()
+    bases = [json.loads(p.read_bytes()) for p in sorted(FIXTURES.glob("ex*.json"))]
+    rng, loadable_rng = random.Random(7), random.Random(8)
+    inputs = [json.dumps(_mutate(rng, rng.choice(bases)), ensure_ascii=False)
+              for _ in range(MUTANTS)]
+    loads = sum(isinstance(_outcome(lambda d: load_document(d, schema), data), Document)
+                for data in inputs)
+    inputs += [json.dumps(_mutate_loadable(loadable_rng, loadable_rng.choice(bases), schema),
+                          ensure_ascii=False) for _ in range(MUTANTS)]
+    assert _equivalence(monkeypatch, inputs, schema) == loads + MUTANTS
+    assert 0 < loads < MUTANTS
+
+
+def _small_raw() -> dict:
+    return {"doc_id": "d1", "text": "RAF1 binds MEK1.",
+            "sentences": [{"index": 0, "start": 0, "end": 16,
+                           "tokens": [{"start": 0, "end": 4, "pos": "NOUN"},
+                                      {"start": 5, "end": 10}, {"start": 11, "end": 15}]}],
+            "entities": [{"id": "T1", "start": 0, "end": 4, "label": "Protein"},
+                         {"id": "T2", "start": 11, "end": 15, "label": "Protein",
+                          "mutations": [{"kind": "Deletion"}]}],
+            "events": [{"id": "E1", "trigger_start": 5, "trigger_end": 10, "type": "Binding",
+                        "args": [{"role": "theme1", "ref": "T1"},
+                                 {"role": "theme2", "ref": "T2"}]}]}
+
+
+def _spaced(raw: dict) -> str:
+    """``raw`` as JSON with whitespace of every kind JSON allows between
+    every two of its tokens, and around the whole."""
+    return " \r\n\t" + json.dumps(raw, indent="\t", separators=(" \r, ", " :\n ")) + "\n \t"
+
+
+@pytest.mark.parametrize("data,taken", [
+    (json.dumps(_small_raw()), True),
+    (_spaced(_small_raw()), True),
+    ('{"doc_id": "d0", "text": "", "sentences": [], "entities": [ ], "events": [\n]}', True),
+    ('{"text": "", "doc_id": "d0", "events": [], "entities": [], "sentences": []}', True),
+    ('{"doc_id": "d0", "x": {"y": [1, 2.5, null, true]}, "text": "", "sentences": [], '
+     '"entities": [], "events": []}', True),
+    # Each hand-off to the reference path: text after a record list, a
+    # repeated key (the last wins), a doc_id after a record list, an array
+    # at the top level, trailing data, nesting past the recursion limit, a
+    # record list that is not a list or is missing, and faults in a record.
+    ('{"doc_id": "d0", "sentences": [], "text": "", "entities": [], "events": []}', False),
+    ('{"doc_id": "d0", "text": "a", "sentences": [], "entities": [], "events": [], '
+     '"text": ""}', False),
+    ('{"text": "", "sentences": [], "doc_id": "d0", "entities": [], "events": []}', False),
+    ('[{"doc_id": "d0", "text": "", "sentences": [], "entities": [], "events": []}]', False),
+    ('{"doc_id": "d0", "text": "", "sentences": [], "entities": [], "events": []} {}', False),
+    ('{"doc_id": "d0", "text": "", "sentences": [' + "[" * 100_000 + "]" * 100_000 + "]}",
+     False),
+    ('{"doc_id": "d0", "text": "", "sentences": {}, "entities": [], "events": []}', False),
+    ('{"doc_id": "d0", "text": "", "sentences": [], "entities": []}', False),
+    ('{"doc_id": "d0", "text": "", "sentences": [], "entities": [], "events": [,]}', False),
+    ('{"doc_id": "d0", "text": "", "sentences": [{"index": 0}], "entities": [], '
+     '"events": []}', False),
+    ('\ufeff{"doc_id": "d0", "text": "", "sentences": [], "entities": [], "events": []}',
+     False),
+    ('{}', False),
+], ids=["compact", "spaced", "empty-lists", "keys-in-any-order", "other-keys",
+        "text-after-a-list", "repeated-key", "doc-id-after-a-list", "array", "trailing-data",
+        "too-deep", "not-a-list", "missing-list", "bad-json-in-a-list", "bad-record", "bom",
+        "empty-object"])
+def test_each_hand_off_of_the_scan_gives_what_the_reference_path_gives(monkeypatch, data,
+                                                                       taken):
+    schema = default_schema()
+    assert (standoff._scan(data, schema) is not None) is taken
+    assert _equivalence(monkeypatch, [data], schema) == taken
+
+
+def test_a_repeated_key_keeps_its_last_value_on_either_path(monkeypatch):
+    data = ('{"doc_id": "d0", "text": "first", "sentences": [], "entities": [], '
+            '"events": [], "text": "last"}')
+    assert load_document(data).text == "last"
+    monkeypatch.setattr(standoff, "_SCAN_FROM", 0)
+    assert load_document(data).text == "last"
 
 
 def test_save_is_deterministic_across_runs(corpus, config):
@@ -496,8 +613,8 @@ def long_resolution():
 
 
 def test_loading_a_long_document_peaks_at_the_parse_of_its_json():
-    # Each parsed record is freed as its model record is built, so the model
-    # never sits beside the whole JSON tree. Bytes, as a worker reads them.
+    # The document is read one record at a time, so no JSON tree of it is
+    # built, let alone held beside the model. Bytes, as a worker reads them.
     data = json.dumps(_long_raw(), ensure_ascii=False).encode()
     schema = resolver.ResolverConfig.default().schema
     peaks = []
@@ -510,6 +627,61 @@ def test_loading_a_long_document_peaks_at_the_parse_of_its_json():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.05 * peaks[0], peaks[1] / peaks[0]
+
+
+def test_loading_a_long_document_peaks_within_1_2_times_the_model_it_returns():
+    # Text, as a worker passes it once it has decoded the bytes. The peak
+    # above the model is the record being built and the document checks,
+    # 1.12 times the model; a JSON tree of the whole document would take it
+    # to about 1.3.
+    text = json.dumps(_long_raw(), ensure_ascii=False)
+    schema = resolver.ResolverConfig.default().schema
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        doc = load_document(text, schema)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(doc.sentences) == 1600
+    assert peak - before <= 1.2 * (held - before), (peak - before) / (held - before)
+
+
+@pytest.mark.parametrize("scan", [False, True], ids=["reference", "scan"])
+def test_a_document_holds_one_string_object_per_value(monkeypatch, scan):
+    monkeypatch.setattr(standoff, "_SCAN_FROM", 0 if scan else float("inf"))
+    doc = load_document(json.dumps(_long_raw(), ensure_ascii=False),
+                        resolver.ResolverConfig.default().schema)
+    ids = {m.id: m.id for m in doc.entities + doc.events}
+    refs = [arg.ref for ev in doc.events for arg in ev.args]
+    assert refs and all(ref is ids[ref] for ref in refs)
+    tokens = [t for s in doc.sentences for t in s.tokens]
+    for values in ([e.label for e in doc.entities], [ev.event_type for ev in doc.events],
+                   [arg.role for ev in doc.events for arg in ev.args],
+                   [m.kind for e in doc.entities for m in e.mutations],
+                   [t.surface for t in tokens] + [e.surface for e in doc.entities]):
+        assert len(values) > len(set(values)) > 0
+        assert len({id(v) for v in values}) == len(set(values))
+
+
+@pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
+@pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
+def test_writing_a_long_result_to_a_file_holds_at_most_0_4_times_its_size(
+        long_resolution, line, provenance, tmp_path):
+    # Beyond the resolution, which is live already, writing holds the
+    # checks' id table, the encoded text and one record: 0.12 to 0.29 times
+    # the result. Formatting a whole list before writing it would hold more
+    # than the result.
+    with open(tmp_path / "long.json", "wb") as file:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            long_resolution.to_bytes(emit_provenance=provenance, line=line, file=file)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = (tmp_path / "long.json").stat().st_size
+    assert peak - before <= 0.4 * size, (peak - before) / size
 
 
 @pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
@@ -531,8 +703,9 @@ def test_encoding_a_long_result_allocates_at_most_3_5_times_its_size(long_resolu
 @pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
 def test_writing_a_long_result_to_a_file_allocates_at_most_2_times_its_size(
         long_resolution, line, provenance, tmp_path):
-    # Each piece is written as it is encoded, so what is held at once is
-    # about one list's strings; returning the bytes takes 2.4 to 3 times.
+    # Each record is written as it is encoded, so what is held at once is
+    # the encoded text and one record beside the checks' id table, a small
+    # fraction of the result; returning the bytes takes 2.4 to 3 times.
     path = tmp_path / "long.json"
     with open(path, "wb") as file:
         tracemalloc.start()

@@ -46,7 +46,7 @@ from .detection import default_lexicon, load_lexicon_file
 from .grounding import default_table, load_table_file
 from .resolver import ResolverConfig, resolve_document, validate_disabled
 from .schema import default_schema, load_schema_file
-from .standoff import _READ_SIZE, _documents, _text, load_document, read_results
+from .standoff import _READ_SIZE, _documents, _load, read_results
 
 # The most documents one task holds. With at most _TASKS_PER_JOB tasks per
 # worker handed out and not yet written, the main process holds a window of
@@ -88,9 +88,8 @@ def _resolve_task(task: list[tuple[str | bytes, str | None]], config: ResolverCo
             if part is not None:  # a file changed since the main process read it fails here
                 with open(source, "rb") as file:
                     source = file.read()
-            source = _text(source)  # the bytes are dropped before the text is parsed
-            doc = load_document(source, schema=config.schema)
-            del source
+            source = [source]  # _load takes the bytes out: they are dropped once decoded
+            doc = _load(source, config.schema)
             resolution = resolve_document(doc, config)
             del doc
             if part is None:

@@ -34,8 +34,7 @@ def complete_events(doc: Document, schema: ArgSchema, links: list[CorefLink],
     EXPANSION_LIMIT).
     """
     links_by_anaphor = {l.anaphor_id: l for l in links}
-    events = {ev.id: ev for ev in doc.events}
-    entity_ids = {e.id for e in doc.entities}
+    events = {ev.id: ev for ev in doc.events}  # every other ref names an entity
     dropped: dict[str, str] = {}
     memo: dict[str, list[CompletedEvent]] = {}
 
@@ -48,7 +47,7 @@ def complete_events(doc: Document, schema: ArgSchema, links: list[CorefLink],
                 fillers[arg.role] = []
                 role_order.append(arg.role)
             link = links_by_anaphor.get(arg.ref)
-            if arg.ref in entity_ids:
+            if arg.ref not in events:
                 if link is None:
                     fillers[arg.role].append((arg.ref, frozenset()))
                 else:
@@ -97,7 +96,8 @@ def complete_events(doc: Document, schema: ArgSchema, links: list[CorefLink],
     # A resolved event anaphor stands for its antecedent event.
     stands_for = {ev_id: links_by_anaphor[ev_id].antecedent_ids[0]
                   for ev_id in events if ev_id in links_by_anaphor}
-    children = {ev.id: [a.ref for a in ev.args if a.ref in events] for ev in doc.events}
+    children = {ev.id: kids for ev in doc.events
+                if (kids := [a.ref for a in ev.args if a.ref in events])}
     for ev_id, target in stands_for.items():
         children[ev_id] = [target] if target in events else []
     for ev_id in event_order(doc, children):

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 
 from .model import Document, EntityMention, EventMention, Token, event_order
 from .schema import ArgSchema, structurally_complete
 
+_START = attrgetter("start")
+_TRIGGER_START = attrgetter("trigger_start")
+
 
 class DocIndex:
     """Read-only views over one document: sorted mentions, sentence lookup,
-    and the ids of its complete events."""
+    the event ids children first, and the ids of its complete events."""
 
     def __init__(self, doc: Document, schema: ArgSchema) -> None:
         self.doc = doc
@@ -22,21 +26,33 @@ class DocIndex:
         for ev in doc.events:
             self.by_id[ev.id] = ev
         self._sent_starts = [s.start for s in doc.sentences]
-        self.entities_by_sentence: dict[int, list[EntityMention]] = {}
-        for ent in self.entities:
-            self.entities_by_sentence.setdefault(self.sentence_index_at(ent.start), []).append(ent)
-        self.events_by_sentence: dict[int, list[EventMention]] = {}
-        for ev in self.events:
-            self.events_by_sentence.setdefault(self.sentence_index_at(ev.trigger_start), []).append(ev)
         # An event is complete when its own arity is met and every event it
         # references is complete; children first, so each verdict is known
         # before the events built from it are reached.
+        self.event_order = event_order(doc)
         incomplete: set[str] = set()
-        for ev_id in event_order(doc):
+        for ev_id in self.event_order:
             ev = self.by_id[ev_id]
             if not structurally_complete(ev, schema) or any(a.ref in incomplete for a in ev.args):
                 incomplete.add(ev_id)
         self.complete = frozenset(ev.id for ev in doc.events if ev.id not in incomplete)
+
+    def entities_in(self, sentence: int) -> list[EntityMention]:
+        """The entities starting in sentence ``sentence``, in ``entities`` order."""
+        return self._in_sentence(self.entities, _START, sentence)
+
+    def events_in(self, sentence: int) -> list[EventMention]:
+        """The events whose trigger starts in sentence ``sentence``, in ``events`` order."""
+        return self._in_sentence(self.events, _TRIGGER_START, sentence)
+
+    def _in_sentence(self, mentions: list, key, sentence: int) -> list:
+        # Sentences do not overlap, so the mentions starting in one are a run
+        # of a list sorted by start.
+        if sentence < 0:
+            return []
+        s = self.doc.sentences[sentence]
+        return mentions[bisect_left(mentions, s.start, key=key):
+                        bisect_left(mentions, s.end, key=key)]
 
     def sentence_index_at(self, pos: int) -> int:
         """Index of the sentence containing character position ``pos``, or -1."""

@@ -132,6 +132,7 @@ def resolve_document(doc: Document, config: ResolverConfig,
         if observer:
             observer(name, state)
 
+    del ctx, index  # not held through completion
     completed, more_dropped = complete_events(cleaned, config.schema, state.links, state.uf)
     dropped_events.update(more_dropped)
 

@@ -152,7 +152,7 @@ def linear_search(index: DocIndex, anaphor: AnaphorCandidate, cons: SearchConstr
 
     need = cons.need
     for window in windows:
-        for ent in index.entities_by_sentence.get(window, []):
+        for ent in index.entities_in(window):
             if ent.start >= anaphor.start:
                 break
             verdict = verdict_for(ent, anaphor, cons, uf, result.ids)
@@ -186,7 +186,7 @@ def event_antecedent_search(index: DocIndex, anaphor: AnaphorCandidate,
     if sent > 0:
         windows.append(sent - 1)
     for window in windows:
-        pool = [ev for ev in index.events_by_sentence.get(window, [])
+        pool = [ev for ev in index.events_in(window)
                 if ev.trigger_end <= anaphor.start]
         for ev in sorted(pool, key=lambda e: (-e.trigger_start, e.id)):
             verdict = _event_verdict(ev, anaphor, event_type, excluded_ids, uf, index.complete)

@@ -37,7 +37,7 @@ from . import detection as det
 from .detection import AnaphorCandidate, TriggerDictionary
 from .grounding import GroundingTable
 from .index import DocIndex
-from .model import CorefLink, Document, EntityMention, EventMention, event_order
+from .model import CorefLink, Document, EntityMention, EventMention
 from .schema import ArgSchema, structurally_complete
 from .search import (
     ACCEPTED,
@@ -286,18 +286,24 @@ def _np_words(ctx: ResolveContext, start: int, end: int, surface: str) -> list[s
 
 
 def _head_index(ctx: ResolveContext):
-    """Entities nearest first by ``(-start, id)``, their lowercase word sets,
-    and per word the positions in that order of the entities containing it.
-    Anaphors are never antecedents, so their word sets are left empty."""
+    """Entities nearest first by ``(-start, id)``, and per lowercase word the
+    positions in that order, ascending, of the entities containing it.
+    Anaphors are never antecedents, so their words are left out."""
     order = sorted(ctx.index.entities, key=lambda e: (-e.start, e.id))
-    words = [frozenset() if e.id in ctx.candidate_ids else
-             frozenset(w.lower() for w in _np_words(ctx, e.start, e.end, e.surface))
-             for e in order]
     by_word: dict[str, list[int]] = {}
-    for i, ws in enumerate(words):
-        for w in ws:
-            by_word.setdefault(w, []).append(i)
-    return order, [-e.start for e in order], words, by_word
+    for i, e in enumerate(order):
+        if e.id not in ctx.candidate_ids:
+            for w in _np_words(ctx, e.start, e.end, e.surface):
+                holders = by_word.setdefault(w.lower(), [])
+                if not holders or holders[-1] != i:  # a word twice in one mention
+                    holders.append(i)
+    return order, [-e.start for e in order], by_word
+
+
+def _holds(holders: list[int], i: int) -> bool:
+    """Whether the ascending positions ``holders`` include ``i``."""
+    k = bisect_left(holders, i)
+    return k < len(holders) and holders[k] == i
 
 
 def sieve_strict_head(ctx: ResolveContext, state: CorefState) -> None:
@@ -324,12 +330,12 @@ def sieve_strict_head(ctx: ResolveContext, state: CorefState) -> None:
         cons = build_constraints(ctx.index, cand, ctx.schema, banned=ctx.candidate_ids)
         if head_index is None:
             head_index = _head_index(ctx)
-        order, neg_starts, ent_words, by_word = head_index
+        order, neg_starts, by_word = head_index
         first = bisect_right(neg_starts, -cand.start)  # first entity starting earlier
         hits = by_word.get(content[-1], [])  # the entities holding the head word
         considered: list = [] if ctx.trace is not None else None
         for i in hits[bisect_left(hits, first):]:
-            contained = ent_words[i].issuperset(content)
+            contained = all(_holds(by_word.get(w, ()), i) for w in content)
             if not contained and considered is None:
                 continue
             ent = order[i]
@@ -390,12 +396,12 @@ def sieve_cleanup(ctx: ResolveContext, state: CorefState
             ctx.record(cand.mention_id, "cleanup", "dropped")
 
     # Children first, so every removal below an event is known when it is reached.
-    events = {ev.id: ev for ev in doc.events}
+    by_id = ctx.index.by_id
     live: dict[str, EventMention] = {}
-    for ev_id in event_order(doc):
+    for ev_id in ctx.index.event_order:
         if ev_id in dropped:
             continue
-        ev = events[ev_id]
+        ev = by_id[ev_id]
         kept_args = tuple(a for a in ev.args if a.ref not in dropped)
         if len(kept_args) < len(ev.args):
             ev = ev._replace(args=kept_args)
@@ -404,9 +410,8 @@ def sieve_cleanup(ctx: ResolveContext, state: CorefState
                 continue
         live[ev_id] = ev
 
-    entity_ids = {e.id for e in doc.entities}
-    dropped_mentions = {k: v for k, v in dropped.items() if k in entity_ids}
-    dropped_events = {k: v for k, v in dropped.items() if k not in entity_ids}
+    dropped_mentions = {k: v for k, v in dropped.items() if isinstance(by_id[k], EntityMention)}
+    dropped_events = {k: v for k, v in dropped.items() if k not in dropped_mentions}
 
     cleaned = Document(
         doc_id=doc.doc_id,

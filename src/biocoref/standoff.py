@@ -35,11 +35,12 @@ and any input the scan hands off, are read by ``json.loads`` and
 ``document_from_dict``, the reference path, which frees each parsed record
 as its model record is built and names the first fault of a bad input.
 Either way a document keeps one string object per distinct value: ids and
-the refs that name them, labels, types, roles and surfaces. A worker
-decodes an input's bytes with ``_text`` and drops them before the text is
-parsed. Traced on a 1,600-sentence document, loading it peaks at 4.67 MiB,
-resolving it at 4.94 and saving the result to its file at 3.73, for a model
-of 2.65 MiB: resolving sets a long document's peak in a worker.
+the refs that name them, labels, types, roles and surfaces. A worker hands
+an input's bytes to ``_load``, which drops them once they are decoded; a
+long input whose non-ASCII bytes all lie in its text is decoded one byte per
+character (``_SCAN_FROM``). Traced on a 1,600-sentence document with one
+non-ASCII character in its text, loading it peaks at 3.7 MiB, resolving it
+at 3.9 and saving its result at 3.7, for a model of 2.6 MiB.
 """
 
 from __future__ import annotations
@@ -265,16 +266,31 @@ def load_document(data: bytes | str, schema: ArgSchema | None = None) -> Documen
     types and argument roles are checked against ``schema`` (the bundled
     default when omitted), so unknown ones are rejected here.
 
-    A document of at least ``_SCAN_FROM`` characters is read by ``_scan``,
-    one record at a time; what the scan does not take, and every shorter
-    document, is read by ``json.loads`` and ``document_from_dict``, the
-    reference path, which also names the first fault of an input that
+    A document of at least ``_SCAN_FROM`` characters, or bytes, is read by
+    ``_scan``, one record at a time; what the scan does not take, and every
+    shorter document, is read by ``json.loads`` and ``document_from_dict``,
+    the reference path, which also names the first fault of an input that
     neither takes.
     """
-    text = _text(data)
+    return _load([data], schema)
+
+
+def _load(box: list, schema: ArgSchema | None) -> Document:
+    """``load_document`` of the one input ``box`` holds, taken out of it, so
+    that bytes the caller drops from its own names are dropped here once
+    decoded, before the parse. Long bytes are first decoded as latin-1, one
+    character per byte, for ``_scan`` to transcode the text alone."""
+    data = box.pop()  # rebound at each decoding, which drops what it held
     schema = default_schema() if schema is None else schema
-    doc = _scan(text, schema) if len(text) >= _SCAN_FROM else None
-    return doc if doc is not None else document_from_dict(_parse_object(text), schema)
+    if type(data) is bytes and len(data) >= _SCAN_FROM and not data.isascii():
+        data = data.decode("latin-1")
+        doc = _scan(data, schema, one_byte=True)
+        if doc is not None:
+            return doc
+        data = data.encode("latin-1")
+    data = _text(data)
+    doc = _scan(data, schema) if len(data) >= _SCAN_FROM else None
+    return doc if doc is not None else document_from_dict(_parse_object(data), schema)
 
 
 def document_from_dict(raw: dict, schema: ArgSchema | None) -> Document:
@@ -298,17 +314,29 @@ def document_from_dict(raw: dict, schema: ArgSchema | None) -> Document:
     return _checked(Document(doc_id, text, *map(tuple, records)), schema)
 
 
-_SCAN_FROM = 1 << 16  # characters from which a document is read by ``_scan``
+# Characters, or bytes, from which a document is read by ``_scan``. Long
+# bytes are scanned decoded as latin-1 when every non-ASCII byte lies in the
+# "text" value, which holds no \u escape: only that value is transcoded
+# from UTF-8, so the source takes one byte per character whatever the text
+# holds. Any other input, invalid UTF-8 included, is decoded as UTF-8 first.
+_SCAN_FROM = 1 << 16
 _SCAN_ONCE = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
 # A punctuation character, with the JSON whitespace around it.
 _PUNCT = re.compile(r"[ \t\n\r]*([,:\[\]{}])[ \t\n\r]*")
 _COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*")  # the one between a list's items
 
 
-def _scan(source: str, schema: ArgSchema | None) -> Document | None:
+def _ascii(source: str, start: int, end: int) -> bool:
+    """Whether ``source[start:end]`` is ASCII, read a few KiB at a time: a
+    copy of the whole range would grow the heap for the rest of the load."""
+    return all(source[i:min(i + 4096, end)].isascii() for i in range(start, end, 4096))
+
+
+def _scan(source: str, schema: ArgSchema | None, one_byte: bool = False) -> Document | None:
     """The Document the JSON text ``source`` holds, read as ``json.loads``
     and ``document_from_dict`` read it, or None for the reference path to
-    read instead.
+    read instead. With ``one_byte``, ``source`` is bytes decoded as latin-1
+    (see ``_SCAN_FROM``), and None also when they do not qualify.
 
     The top-level object is read key by key, and each record list one
     record at a time: each record is parsed as the code that builds it for
@@ -363,7 +391,13 @@ def _scan(source: str, schema: ArgSchema | None) -> Document | None:
                 return None
             build = _RECORDS.get(key)
             if build is None:
-                value, pos = scan(source, m.end())
+                start = m.end()
+                value, pos = scan(source, start)
+                if one_byte and key == "text" and type(value) is str:
+                    if not (_ascii(source, 0, start) and _ascii(source, pos, len(source))) \
+                            or source.find("\\u", start, pos) >= 0:
+                        return None
+                    value = value.encode("latin-1").decode("utf-8")  # ValueError if not UTF-8
                 fields[key] = value if key in ("doc_id", "text") else None
                 del value
             else:

@@ -153,3 +153,16 @@ def test_completeness_of_a_deep_regulation_chain():
     # argument-less nominal B2 is incomplete, so only the binding B1 is complete.
     doc = load_document(json.dumps(regulation_chain(1500)))
     assert DocIndex(doc, SCHEMA).complete == {"B1"}
+
+
+def test_a_sentence_holds_the_mentions_that_start_in_it(corpus):
+    # The runs found by bisection are the mentions grouped by the sentence
+    # holding their start, in the index's order.
+    for name in corpus:
+        index = DocIndex(load_fixture(corpus, name), SCHEMA)
+        for i in range(-1, len(index.doc.sentences)):
+            assert index.entities_in(i) == [e for e in index.entities
+                                            if i >= 0 and index.sentence_index_at(e.start) == i]
+            assert index.events_in(i) == [
+                ev for ev in index.events
+                if i >= 0 and index.sentence_index_at(ev.trigger_start) == i]

@@ -20,9 +20,11 @@ main process first creates the empty ``<out>/.<stem>.json.part`` that the
 worker writes the result into; a stream line travels as its bytes,
 undecoded, and its result comes back as bytes, which the main process writes
 to the stream's part. Once a task's results are back, it moves each complete
-part onto ``<out>/<stem>.json``, in input order. With at most two tasks per
-worker out at a time, the main process holds a bounded window of stream
-lines, no single document's text or result, and of each input only its path.
+part onto ``<out>/<stem>.json``, in input order. Every result is one compact
+NDJSON line, so a single document's result file holds the same bytes as its
+line in a stream's result file. With at most two tasks per worker out at a
+time, the main process holds a bounded window of stream lines, no single
+document's text or result, and of each input only its path.
 A ``--strict`` stop kills the workers still resolving; then, as after any
 stop, every part created and not moved is unlinked.
 """
@@ -73,13 +75,14 @@ def _resolve_task(task: list[tuple[str | bytes, str | None]], config: ResolverCo
     one task, in order, or ``(None, None, error)`` for one that cannot be
     resolved, whatever the cause. A single document's ``source`` is its
     file's path, read here, and its ``part`` the path of the empty file the
-    main process created for it: its indented result is written into it and
+    main process created for it: its result is written into it and
     ``output`` is None. A stream line travels as its bytes: its ``source``
-    is the line, decoded here, and it has no part: ``output`` is its compact
-    NDJSON line; a line given as text, a ``str``, is parsed as it is. Each
-    document is taken out of ``task`` as it is resolved, and its bytes are
-    dropped once they are decoded, so the parse never holds them beside
-    their text."""
+    is the line, decoded here, and it has no part: ``output`` is its result.
+    Either way the result is one compact NDJSON line, so a result file is
+    the line a stream of its document would hold. A line given as text, a
+    ``str``, is parsed as it is. Each document is taken out of ``task`` as
+    it is resolved, and its bytes are dropped once they are decoded, so the
+    parse never holds them beside their text."""
     results = []
     for i in range(len(task)):
         source, part = task[i]
@@ -93,7 +96,7 @@ def _resolve_task(task: list[tuple[str | bytes, str | None]], config: ResolverCo
             resolution = resolve_document(doc, config)
             del doc
             if part is None:
-                results.append((resolution.to_bytes(emit_provenance=config.trace, line=True),
+                results.append((resolution.to_bytes(emit_provenance=config.trace),
                                 resolution.counters, None))
                 continue
             # "r+b" opens the file only if it exists: a worker never creates one.
@@ -327,7 +330,11 @@ def cmd_resolve(args) -> int:
         print(f"configuration error: inputs share an output file: {'; '.join(clashes)}",
               file=sys.stderr)
         return 2
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
     summary: dict = {"docs": 0, "failed": [], **_totals()}
     created: set[str] = set()

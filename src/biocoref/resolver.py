@@ -59,7 +59,7 @@ class Resolution:
         self.counters = counters
         self.trace = trace
 
-    def to_bytes(self, emit_provenance: bool = False, line: bool = False,
+    def to_bytes(self, emit_provenance: bool = False,
                  file: BinaryIO | None = None) -> bytes | None:
         """The result's bytes, or with ``file`` None once they are written to it."""
         return save_result(
@@ -68,7 +68,6 @@ class Resolution:
             completed=tuple(self.completed),
             chains=self.chains if emit_provenance else None,
             trace=self.trace if emit_provenance else None,
-            line=line,
             file=file,
         )
 

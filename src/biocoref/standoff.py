@@ -16,17 +16,21 @@ reaches ``load_document`` as its bytes, and a decode error is its
                      "args": [{"role": str, "ref": str}]} ] }
 
 Result files add "links" and "completed_events". Serialization is canonical:
-each result is the bytes ``json.dumps(ensure_ascii=False)`` gives for it as an
-indented file (``indent=2``) or a compact stream line. ``save_result`` is the
-one writer: it formats the model straight into one table of ``%``-templates
-per layout, one template per record shape, the provenance ``chains`` and
-``trace`` included, so no generic JSON encoder is involved. It formats and
+each result is the one line ``json.dumps(ensure_ascii=False,
+separators=(",", ":"))`` gives for it, and ``"\\n"``, so a single-document
+result file is a one-line stream of itself, and a stream's result file is
+its documents' result files concatenated. ``save_result`` is the one
+writer: it formats the model straight into one table of ``%``-templates,
+one template per record shape, the provenance ``chains`` and ``trace``
+included, so no generic JSON encoder is involved. It formats and
 encodes the text and each record by itself as it writes it, so that no
 string of the whole result, nor of a whole list, is built: returning a
 result's bytes takes about two to three times its size on top of the model,
 whatever characters its text holds, and writing them to a file holds a
 small fraction of it. ``read_results`` is the one reader: it tells a stream
-as ``resolve`` does and checks as ``load_result``.
+as ``resolve`` does and checks as ``load_result``; both still read a result
+indented as ``json.dumps(indent=2)`` lays it out, as earlier releases wrote
+single-document results.
 
 ``load_document`` reads a long document one record at a time (``_scan``):
 each record is parsed, built into its model record and dropped before the
@@ -476,110 +480,90 @@ def _check_result(doc: Document, links: tuple[CorefLink, ...] | list,
 
 
 class _Layout:
-    """The ``%``-templates of one result layout, one per record shape at the
-    depth it sits at in a result: with ``indent`` as ``json.dumps(indent=2)``
-    lays it out, else as ``json.dumps(separators=(",", ":"))``. A ``%s`` slot
-    after a field takes that record's optional tail, or ``""``.
+    """The ``%``-templates of a result, one per record shape, laid out as
+    ``json.dumps(separators=(",", ":"))`` lays it out. A ``%s`` slot after a
+    field takes that record's optional tail, or ``""``.
 
-    A record of the result's own lists starts with ``sep``, the separator
-    that goes before it. As UTF-8, ``top`` holds the literal text around the
-    result's own fields, ``close`` the text that ends one of its lists, and
-    ``chains`` and ``trace`` the text before those optional lists."""
+    A record of the result's own lists starts with the ``","`` that goes
+    before it. As UTF-8, ``top`` holds the literal text around the result's
+    own fields, and ``chains`` and ``trace`` the text before those optional
+    lists."""
 
-    def __init__(self, indent: bool) -> None:
-        colon = ": " if indent else ":"
+    def __init__(self) -> None:
+        def tail(*keys: str | None) -> str:
+            return "".join("%s" if k is None else f',"{k}":%s' for k in keys)
 
-        def pad(depth: int) -> tuple[str, str, str]:
-            """Before the first item, between items, and before the closing
-            bracket of a container whose items sit at ``depth``."""
-            if not indent:
-                return "", ",", ""
-            lead = "\n" + "  " * depth
-            return lead, "," + lead, lead[:-2]
+        def record(*keys: str | None) -> str:
+            return "{" + tail(*keys)[1:] + "}"
 
-        def tail(depth: int, *keys: str | None) -> str:
-            sep = pad(depth)[1]
-            return "".join("%s" if k is None else f'{sep}"{k}"{colon}%s' for k in keys)
-
-        def record(depth: int, *keys: str | None) -> str:
-            lead, sep, close = pad(depth)
-            return "{" + lead + tail(depth, *keys)[len(sep):] + close + "}"
-
-        _, self.sep, close = pad(2)
-        self.inner, self.close = pad(4), (close + "]").encode()
-        self.token, self.token_pos = record(5, "start", "end"), record(5, "start", "end", "pos")
-        self.sentence = self.sep + record(3, "index", "start", "end", "tokens")
-        self.entity = self.sep + record(3, "id", "start", "end", "label", None, None)
-        self.grounding, self.mutations = tail(3, "grounding"), tail(3, "mutations")
-        self.mutation, self.mutation_label = record(5, "kind"), record(5, "kind", "label")
-        self.event = self.sep + record(3, "id", "trigger_start", "trigger_end", "type", None,
-                                       "args", None)
-        self.polarity, self.arg = tail(3, "polarity"), record(5, "role", "ref")
-        self.completed = tail(3, "derived_from", "provenance")
-        self.link = self.sep + record(3, "anaphor", "antecedents", "sieve")
-        self.chain_items = pad(3)
-        self.entry = self.sep + record(3, "anaphor", "kind", "surface", "span", "cardinality",
-                                       "attempts", "final")
-        self.attempt, self.attempt_items = record(5, "sieve", "status", None), pad(6)
-        self.considered, self.antecedents = tail(5, "considered"), tail(5, "antecedents")
-        self.verdict = record(7, "id", "verdict")
-        self.final, self.final_items = record(4, "status", None), pad(5)
-        self.linked = tail(4, "sieve", "antecedents")
+        self.token, self.token_pos = record("start", "end"), record("start", "end", "pos")
+        self.sentence = "," + record("index", "start", "end", "tokens")
+        self.entity = "," + record("id", "start", "end", "label", None, None)
+        self.grounding, self.mutations = tail("grounding"), tail("mutations")
+        self.mutation, self.mutation_label = record("kind"), record("kind", "label")
+        self.event = "," + record("id", "trigger_start", "trigger_end", "type", None, "args", None)
+        self.polarity, self.arg = tail("polarity"), record("role", "ref")
+        self.completed = tail("derived_from", "provenance")
+        self.link = "," + record("anaphor", "antecedents", "sieve")
+        self.entry = "," + record("anaphor", "kind", "surface", "span", "cardinality",
+                                  "attempts", "final")
+        self.attempt, self.verdict = record("sieve", "status", None), record("id", "verdict")
+        self.considered, self.antecedents = tail("considered"), tail("antecedents")
+        self.final, self.linked = record("status", None), tail("sieve", "antecedents")
         self.top = [part.encode() for part in (record(
-            1, "doc_id", "text", "sentences", "entities", "events", "links",
+            "doc_id", "text", "sentences", "entities", "events", "links",
             "completed_events") + "\n").split("%s")]
-        self.chains, self.trace = (tail(1, key).split("%s")[0].encode()
+        self.chains, self.trace = (tail(key).split("%s")[0].encode()
                                    for key in ("chains", "trace"))
 
 
-_FILE = _Layout(True)
-_LINE = _Layout(False)
+_LAYOUT = _Layout()
 
 
-def _join(pad: tuple[str, str, str], items: list[str]) -> str:
-    """A list of already encoded items, laid out by its items' ``pad``."""
-    return "[" + pad[0] + pad[1].join(items) + pad[2] + "]" if items else "[]"
+def _join(items: list[str]) -> str:
+    """A list of already encoded items."""
+    return "[" + ",".join(items) + "]"
 
 
-def _event(t: _Layout, ev: EventMention | CompletedEvent, tail: str = "") -> str:
-    enc = encode_basestring
+def _event(ev: EventMention | CompletedEvent, tail: str = "") -> str:
+    enc, t = encode_basestring, _LAYOUT
     return t.event % (
         enc(ev.id), ev.trigger_start, ev.trigger_end, enc(ev.event_type),
         "" if ev.polarity == "Unspecified" else t.polarity % enc(ev.polarity),
-        _join(t.inner, [t.arg % (enc(a.role), enc(a.ref)) for a in ev.args]), tail)
+        _join([t.arg % (enc(a.role), enc(a.ref)) for a in ev.args]), tail)
 
 
-def _trace_entry(t: _Layout, entry: dict) -> str:
+def _trace_entry(entry: dict) -> str:
     """One trace entry; an attempt's ``considered`` and ``antecedents`` and a
     linked ``final``'s ``sieve`` and ``antecedents`` are written when present."""
-    enc, items = encode_basestring, t.attempt_items
+    enc, t = encode_basestring, _LAYOUT
     attempts = []
     for a in entry["attempts"]:
         extra = ""
         if "considered" in a:
-            extra = t.considered % _join(items, [t.verdict % (enc(c["id"]), enc(c["verdict"]))
-                                                 for c in a["considered"]])
+            extra = t.considered % _join([t.verdict % (enc(c["id"]), enc(c["verdict"]))
+                                          for c in a["considered"]])
         if "antecedents" in a:
-            extra += t.antecedents % _join(items, [enc(x) for x in a["antecedents"]])
+            extra += t.antecedents % _join([enc(x) for x in a["antecedents"]])
         attempts.append(t.attempt % (enc(a["sieve"]), enc(a["status"]), extra))
     final = entry["final"]
     return t.entry % (
         enc(entry["anaphor"]), enc(entry["kind"]), enc(entry["surface"]),
-        _join(t.inner, [int.__repr__(n) for n in entry["span"]]), enc(entry["cardinality"]),
-        _join(t.inner, attempts),
+        _join([int.__repr__(n) for n in entry["span"]]), enc(entry["cardinality"]),
+        _join(attempts),
         t.final % (enc(final["status"]), t.linked % (
-            enc(final["sieve"]), _join(t.final_items, [enc(x) for x in final["antecedents"]]))
+            enc(final["sieve"]), _join([enc(x) for x in final["antecedents"]]))
             if "sieve" in final else ""))
 
 
 def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
                 completed: tuple[CompletedEvent, ...] | list = (),
                 chains: list[list[str]] | None = None,
-                trace: list | None = None, line: bool = False,
+                trace: list | None = None,
                 file: BinaryIO | None = None) -> bytes | None:
     """Serialize a resolved document; rejects links or events that violate
     their invariants against ``doc``. Output is deterministic byte-for-byte:
-    an indented result file, or with ``line`` one compact NDJSON line.
+    one compact NDJSON line, which is also the whole of a result file.
 
     No string of the whole result is built. The text and each record of the
     result's lists are formatted and encoded to UTF-8 by themselves, as they
@@ -593,34 +577,33 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
     encoded raises part way through the file.
     """
     _check_result(doc, links, completed)
-    t = _LINE if line else _FILE
-    enc, inner, top, sep = encode_basestring, t.inner, t.top, t.sep
+    t = _LAYOUT
+    enc, top = encode_basestring, t.top
     token, token_pos, sentence = t.token, t.token_pos, t.sentence
     lists = [
-        (top[2], (sentence % (s.index, s.start, s.end, _join(inner, [
+        (top[2], (sentence % (s.index, s.start, s.end, _join([
             token % (k.start, k.end) if k.pos_hint is None
             else token_pos % (k.start, k.end, enc(k.pos_hint)) for k in s.tokens]))
             for s in doc.sentences)),
         (top[3], (t.entity % (
             enc(e.id), e.start, e.end, enc(e.label),
             "" if e.grounding_id is None else t.grounding % enc(e.grounding_id),
-            t.mutations % _join(inner, [
+            t.mutations % _join([
                 t.mutation % enc(m.kind) if m.label is None
                 else t.mutation_label % (enc(m.kind), enc(m.label)) for m in e.mutations])
             if e.mutations else "")
             for e in doc.entities)),
-        (top[4], (_event(t, ev) for ev in doc.events)),
-        (top[5], (t.link % (enc(l.anaphor_id), _join(inner, [enc(a) for a in l.antecedent_ids]),
+        (top[4], (_event(ev) for ev in doc.events)),
+        (top[5], (t.link % (enc(l.anaphor_id), _join([enc(a) for a in l.antecedent_ids]),
                             enc(l.sieve_name)) for l in links)),
-        (top[6], (_event(t, c, t.completed % (
-            enc(c.derived_from), _join(inner, [enc(p) for p in c.provenance])))
+        (top[6], (_event(c, t.completed % (
+            enc(c.derived_from), _join([enc(p) for p in c.provenance])))
             for c in completed)),
     ]
     if chains is not None:
-        lists.append((t.chains, (sep + _join(t.chain_items, [enc(m) for m in chain])
-                                 for chain in chains)))
+        lists.append((t.chains, ("," + _join([enc(m) for m in chain]) for chain in chains)))
     if trace is not None:
-        lists.append((t.trace, (_trace_entry(t, entry) for entry in trace)))
+        lists.append((t.trace, (_trace_entry(entry) for entry in trace)))
     pieces: list[bytes] = []
     put = pieces.extend if file is None else file.writelines
     put((top[0], enc(doc.doc_id).encode(), top[1], enc(doc.text).encode()))
@@ -632,7 +615,7 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
         # The first item has no "," before it.
         put((literal, b"[", first[1:].encode()))
         put(map(str.encode, items))
-        put((t.close,))
+        put((b"]",))
     put((top[7],))
     return b"".join(pieces) if file is None else None
 

@@ -358,11 +358,14 @@ def test_stream_output_is_compact_and_jobs_invariant(tmp_path, corpus_dir, prove
         outputs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert outputs["1"] == outputs["2"]
     files = outputs["1"]
-    lines = files.pop("ex15_stream.json").decode("utf-8").splitlines(keepends=True)
-    assert len(lines) == len(files) == len(names)
-    for name, line in zip(names, lines):
-        result = json.loads(files[f"{name}.json"])
-        assert line == json.dumps(result, ensure_ascii=False, separators=(",", ":")) + "\n"
+    # A stream's result file is its documents' result files, concatenated.
+    stream = files.pop("ex15_stream.json")
+    assert len(files) == len(names)
+    assert stream == b"".join(files[f"{name}.json"] for name in names)
+    for name in names:
+        result = files[f"{name}.json"].decode("utf-8")
+        assert result == json.dumps(json.loads(result), ensure_ascii=False,
+                                    separators=(",", ":")) + "\n"
 
 
 RAW_LINE_ENDS = ["\x85", "\u2028", "\u2029"]  # line ends to str.splitlines, not to NDJSON
@@ -471,6 +474,19 @@ def test_output_name_collision_message_is_exact(tmp_path, corpus_dir, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_an_out_that_cannot_be_created_exits_2(tmp_path, corpus_dir, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "out" if under else afile
+    proc = run_cli("resolve", "--in", str(corpus_dir / "ex12_foxp3.json"), "--out", str(out))
+    assert proc.returncode == 2
+    with pytest.raises(OSError) as refused:
+        out.mkdir(parents=True, exist_ok=True)
+    assert proc.stderr == f"configuration error: {refused.value}\n"
+    assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exits_2(tmp_path, corpus_dir, jobs):
     out = tmp_path / "out"
@@ -494,7 +510,7 @@ def test_stream_is_told_apart_by_content(tmp_path, corpus_dir):
     assert summary["failed"] == [{"file": str(tmp_path / "b_array.json"),
                                   "error": "MalformedInput: document must be a JSON object"}]
     assert sorted(p.name for p in out.iterdir()) == ["a_indented.json", "c_one_line.json"]
-    assert (out / "c_one_line.json").read_text(encoding="utf-8").startswith('{\n  "doc_id"')
+    assert (out / "c_one_line.json").read_text(encoding="utf-8").startswith('{"doc_id"')
 
 
 @pytest.fixture(scope="module")
@@ -546,6 +562,24 @@ code = cli.main(sys.argv[1:])
 print(len(opens), file=sys.stderr)
 sys.exit(code)
 """
+
+
+def test_eval_and_inspect_read_results_indented_as_earlier_releases_wrote_them(tmp_path,
+                                                                            run_dir):
+    out, _ = run_dir
+    indented = tmp_path / "indented"
+    indented.mkdir()
+    for path in out.glob("*.json"):
+        result = path.read_text(encoding="utf-8")
+        assert result.count("\n") == 1 and result.endswith("\n")  # written as one line
+        (indented / path.name).write_text(
+            json.dumps(json.loads(result), ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    for args in (["eval", "--json", "--system", "{}"],
+                 ["eval", "--json", "--system", "{}/ex1b_axin_gbd.json"],
+                 ["inspect", "{}/ex1b_axin_gbd.json", "T3"]):
+        procs = [run_cli(*(arg.format(folder) for arg in args)) for folder in (out, indented)]
+        assert [proc.returncode for proc in procs] == [0, 0], procs[1].stderr
+        assert procs[0].stdout == procs[1].stdout and procs[0].stdout
 
 
 def test_eval_opens_a_single_result_file_once(run_dir):

@@ -10,7 +10,8 @@ Two families of mutants, each a fixture with one to three random edits:
   deleted, or the labels of two entities swapped where every role that
   names either allows both classes. Every one of these mutants must load;
   they test the resolver and the result writer, and their digest covers
-  both the result file and the stream line of each.
+  both the result file and the stream line of each, which must be the
+  same bytes.
 
 Every mutant goes through the CLI's per-document boundary with provenance
 on; no exception may escape it. For a result file, each mutant is written
@@ -20,7 +21,9 @@ the README guarantees that ``test_properties`` checks. Deleted event arguments
 change which events are complete, so the digests pin the completeness rule
 too.
 
-The digest pins what each mutant produced: its result bytes, or its failure.
+The digest pins what each mutant produced: its result, or its failure. A
+result file enters it indented, as ``test_golden.GOLDEN`` hashes a result,
+so the digests pinned when result files were indented still hold.
 A ``SchemaViolation`` or ``MalformedInput`` contributes its full message, so
 the first fault a document reports is pinned too; any other exception
 contributes only its type name, which does not depend on the interpreter's
@@ -38,6 +41,7 @@ from biocoref.resolver import ResolverConfig
 from biocoref.schema import default_schema
 from biocoref.standoff import load_document
 
+from test_golden import _indented
 from test_properties import check_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -158,7 +162,7 @@ def test_fixture_mutants_never_escape_and_match_golden_digest(tmp_path):
         text = json.dumps(_mutate(rng, rng.choice(bases)), ensure_ascii=False)
         output, error = _resolve(text, config, tmp_path / ".result.json.part")
         if error is None:
-            h.update(output)
+            h.update(_indented(output))
             check_document(load_document(text, schema=config.schema), config)
         else:
             kind = error.split(":", 1)[0]
@@ -175,9 +179,13 @@ def test_loadable_mutants_keep_guarantees_and_match_golden_digest(tmp_path):
     h = hashlib.sha256()
     for _ in range(MUTANTS):
         text = json.dumps(_mutate_loadable(rng, rng.choice(bases), schema), ensure_ascii=False)
+        outputs = []
         for part in (tmp_path / ".result.json.part", None):  # the file, then the line
             output, error = _resolve(text, config, part)
             assert error is None, error
+            outputs.append(output)
+        assert outputs[0] == outputs[1]
+        for output in (_indented(outputs[0]), outputs[1]):
             h.update(output)
             h.update(b"\0")
         check_document(load_document(text, schema=config.schema), config)

@@ -251,11 +251,33 @@ def test_a_single_document_is_written_into_its_part_and_not_returned(tmp_path, c
     assert task == [None] * 4  # each document is taken out of the task
     assert out is None and error is None and counters == want.counters
     assert part.read_bytes() == want.to_bytes()
-    assert stream_line == (want.to_bytes(line=True), want.counters, None)
+    assert stream_line == (want.to_bytes(), want.counters, None)
     # A worker opens the part the main process created; it never creates one.
     assert missed.startswith("FileNotFoundError: ") and not missing.exists()
     # A file gone since the main process read it fails its document only.
     assert unread.startswith("FileNotFoundError: ") and gone.read_bytes() == b""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("provenance", [[], ["--emit-provenance"]], ids=["plain", "provenance"])
+def test_a_result_file_is_the_line_its_document_takes_in_a_stream(tmp_path, provenance, jobs):
+    # The document's text holds a "\u03b2", so the result holds it raw.
+    first, second = (json.loads((FIXTURES / name).read_bytes())
+                     for name in ("ex10_gsk3b.json", "ex12_foxp3.json"))
+    (tmp_path / "single.json").write_text(json.dumps(first, ensure_ascii=False, indent=2),
+                                          encoding="utf-8")
+    (tmp_path / "stream.ndjson").write_text(
+        "".join(json.dumps(doc, ensure_ascii=False) + "\n" for doc in (first, second)),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    proc = subprocess.run(CLI + ["resolve", "--in", str(tmp_path / "*"), "--out", str(out),
+                                 "--jobs", jobs, *provenance],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    single = (out / "single.json").read_bytes()
+    lines = (out / "stream.json").read_bytes().split(b"\n")
+    assert len(lines) == 3 and lines[2] == b""
+    assert single == lines[0] + b"\n" and "\u03b2".encode() in single
 
 
 def test_a_source_resolves_alike_as_bytes_and_as_text(tmp_path, config):

@@ -2,6 +2,7 @@ import io
 import json
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -27,7 +28,7 @@ import fixture_corpus
 from conftest import load_fixture
 from synth import synth_corpus, synth_doc
 from test_fuzz import FIXTURES, MUTANTS, _mutate, _mutate_loadable
-from test_golden import _corpus
+from test_golden import _corpus, _indented
 
 
 def test_ex10_loads_expected_mentions(corpus):
@@ -159,16 +160,19 @@ def test_result_round_trip_field_for_field(resolved_corpus):
         assert list(completed) == res.completed, doc_id
 
 
-@pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
-def test_result_round_trip_with_provenance_after_the_records_are_freed(corpus, line):
+@pytest.mark.parametrize("indented", [True, False], ids=["file", "line"])
+def test_result_round_trip_with_provenance_after_the_records_are_freed(corpus, indented):
     # load_result reads links and completed events from the dict whose
-    # record lists document_from_dict has emptied.
+    # record lists document_from_dict has emptied, from a result as written
+    # and from one indented as earlier releases wrote result files.
     config = resolver.ResolverConfig.default(trace=True)
     assert len(corpus) == 22
     linked = completed = 0
     for doc_id, raw in corpus.items():
         res = resolver.resolve_document(load_document(json.dumps(raw)), config)
-        data = save_result(res.doc, res.links, res.completed, res.chains, res.trace, line)
+        data = save_result(res.doc, res.links, res.completed, res.chains, res.trace)
+        if indented:
+            data = _indented(data)
         assert load_result(data) == (res.doc, tuple(res.links), tuple(res.completed)), doc_id
         linked += bool(res.links)
         completed += bool(res.completed)
@@ -404,7 +408,7 @@ def test_read_results_reads_a_stream_as_its_files(tmp_path, corpus):
     for doc_id, raw in sorted(corpus.items()):
         res = resolver.resolve_document(load_document(json.dumps(raw)), config)
         (files / f"{doc_id}.json").write_bytes(res.to_bytes(emit_provenance=True))
-        lines.append(res.to_bytes(emit_provenance=True, line=True))
+        lines.append(res.to_bytes(emit_provenance=True))
     (tmp_path / "stream.json").write_bytes(b"".join(lines))
     from_files = list(read_results(files))
     from_stream = list(read_results(tmp_path / "stream.json"))
@@ -433,7 +437,7 @@ _TEXT = 'aZ09 "\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u03b2\u2028\u2029\U0001f9ec'
 
 # --- reference writer ------------------------------------------------------
 # The result as the dict layer save_result once built before it wrote its
-# templates, dumped by the stdlib encoder in either layout.
+# templates, dumped by the stdlib encoder.
 
 def _ref_sentence(sent):
     tokens = []
@@ -472,7 +476,7 @@ def _ref_event(ev):
     return d
 
 
-def _reference_bytes(doc, links, completed, chains, trace, line):
+def _reference_bytes(doc, links, completed, chains, trace):
     out = {
         "doc_id": doc.doc_id,
         "text": doc.text,
@@ -487,9 +491,7 @@ def _reference_bytes(doc, links, completed, chains, trace, line):
         out["chains"] = chains
     if trace is not None:
         out["trace"] = trace
-    if line:
-        return (json.dumps(out, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
-    return (json.dumps(out, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(out, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 _INTS = [0, 1, 7, -3, 2**70, -(2**64)]
@@ -576,16 +578,28 @@ def _random_result(rng):
     return doc, links, completed, chains, trace
 
 
-@pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
+def _written(to_file, write):
+    """What ``write(file=...)`` writes into a file, as a worker writes a
+    single document's result, or what ``write()`` returns, as a worker
+    returns a stream line's."""
+    if not to_file:
+        return write()
+    file = io.BytesIO()
+    assert write(file=file) is None
+    return file.getvalue()
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "line"])
 @pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
-def test_writer_matches_reference_on_random_results(provenance, line):
-    rng = random.Random(17 + 2 * provenance + line)
+def test_writer_matches_reference_on_random_results(provenance, to_file):
+    rng = random.Random(17 + 2 * provenance + (not to_file))
     for _ in range(1500):
         doc, links, completed, chains, trace = _random_result(rng)
         if not provenance:
             chains = trace = None
-        expected = _reference_bytes(doc, links, completed, chains, trace, line)
-        assert save_result(doc, links, completed, chains, trace, line=line) == expected
+        expected = _reference_bytes(doc, links, completed, chains, trace)
+        assert _written(to_file, partial(save_result, doc, links, completed, chains,
+                                         trace)) == expected
 
 
 @pytest.mark.parametrize("value", [{1, 2}, b"bytes", object()], ids=["set", "bytes", "object"])
@@ -599,32 +613,32 @@ def test_writer_rejects_values_json_cannot_encode(value):
                            "antecedents": ["T1"]}]}
     slots = [(entry, "anaphor"), (entry["span"], 1), (entry["final"]["antecedents"], 0),
              (entry["attempts"][0], "status"), (entry["attempts"][0]["considered"][0], "id")]
-    for line in (False, True):
-        save_result(doc, chains=[["T1", "T2"]], trace=[entry], line=line)
+    save_result(doc, chains=[["T1", "T2"]], trace=[entry])
+    with pytest.raises(TypeError):
+        save_result(doc, chains=[["T1", value]])
+    for record, key in slots:
+        good, record[key] = record[key], value
         with pytest.raises(TypeError):
-            save_result(doc, chains=[["T1", value]], line=line)
-        for record, key in slots:
-            good, record[key] = record[key], value
-            with pytest.raises(TypeError):
-                save_result(doc, trace=[entry], line=line)
-            record[key] = good
+            save_result(doc, trace=[entry])
+        record[key] = good
 
 
-@pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "line"])
 @pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
-def test_writer_matches_reference_on_corpora(corpus, provenance, line):
+def test_writer_matches_reference_on_corpora(corpus, provenance, to_file):
     config = resolver.ResolverConfig.default(trace=provenance)
     for raw in list(corpus.values()) + synth_corpus(29, 150):
         res = resolver.resolve_document(load_document(json.dumps(raw)), config)
         expected = _reference_bytes(res.doc, res.links, res.completed,
                                     res.chains if provenance else None,
-                                    res.trace if provenance else None, line)
-        assert res.to_bytes(emit_provenance=provenance, line=line) == expected, raw["doc_id"]
+                                    res.trace if provenance else None)
+        assert _written(to_file, partial(res.to_bytes, emit_provenance=provenance)
+                        ) == expected, raw["doc_id"]
 
 
 def test_writing_to_a_file_writes_the_bytes_it_returns():
-    # The golden corpora of tests/test_golden.py, in both layouts, with and
-    # without provenance.
+    # The golden corpora of tests/test_golden.py, with and without
+    # provenance.
     rng = random.Random(5)
     docs = (list(fixture_corpus.corpus_documents().values()) + synth_corpus(23, 400)
             + [synth_doc(rng, i, sentences=n) for i, n in enumerate((150, 300))])
@@ -633,12 +647,11 @@ def test_writing_to_a_file_writes_the_bytes_it_returns():
         res = resolver.resolve_document(document_from_dict(raw, config.schema), config)
         for provenance in (False, True):
             chains, trace = (res.chains, res.trace) if provenance else (None, None)
-            for line in (False, True):
-                file = io.BytesIO()
-                assert save_result(res.doc, res.links, res.completed, chains, trace, line,
-                                   file=file) is None
-                assert file.getvalue() == save_result(res.doc, res.links, res.completed,
-                                                      chains, trace, line), raw["doc_id"]
+            file = io.BytesIO()
+            assert save_result(res.doc, res.links, res.completed, chains, trace,
+                               file=file) is None
+            assert file.getvalue() == save_result(res.doc, res.links, res.completed,
+                                                  chains, trace), raw["doc_id"]
 
 
 @pytest.mark.parametrize("seed", [3, 5])
@@ -768,34 +781,48 @@ def test_a_document_holds_one_string_object_per_value(monkeypatch, scan, encode)
         assert len({id(v) for v in values}) == len(set(values))
 
 
-@pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
-@pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
-def test_writing_a_long_result_to_a_file_holds_at_most_0_4_times_its_size(
-        long_resolution, line, provenance, tmp_path):
-    # Beyond the resolution, which is live already, writing holds the
-    # checks' id table, the encoded text and one record: 0.12 to 0.29 times
-    # the result. Formatting a whole list before writing it would hold more
-    # than the result.
-    with open(tmp_path / "long.json", "wb") as file:
+def _write_long(long_resolution, provenance, path, earlier):
+    """``(size, traced peak above what was held before)`` of writing the
+    long result into a file after ``earlier``, another result or nothing."""
+    with open(path, "wb") as file:
+        file.write(earlier)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            long_resolution.to_bytes(emit_provenance=provenance, line=line, file=file)
+            long_resolution.to_bytes(emit_provenance=provenance, file=file)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    size = (tmp_path / "long.json").stat().st_size
-    assert peak - before <= 0.4 * size, (peak - before) / size
+    return path.stat().st_size - len(earlier), peak - before
+
+
+# A result written before the long one makes the file a two-line stream.
+_EARLIER = save_result(load_document(
+    b'{"doc_id":"d0","text":"","sentences":[],"entities":[],"events":[]}'))
 
 
 @pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
-@pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
-def test_encoding_a_long_result_allocates_at_most_3_5_times_its_size(long_resolution, line,
+@pytest.mark.parametrize("after", [False, True], ids=["file", "line"])
+def test_writing_a_long_result_to_a_file_holds_at_most_0_4_times_its_size(
+        long_resolution, after, provenance, tmp_path):
+    # Beyond the resolution, which is live already, writing holds the
+    # checks' id table, the encoded text and one record: 0.23 to 0.29 times
+    # the result. Formatting a whole list before writing it would hold more
+    # than the result. The result is written alone, a result file, or after
+    # another, the second line of a stream's result file.
+    size, peak = _write_long(long_resolution, provenance, tmp_path / "long.json",
+                             _EARLIER if after else b"")
+    assert peak <= 0.4 * size, peak / size
+
+
+@pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "line"])
+def test_encoding_a_long_result_allocates_at_most_3_5_times_its_size(long_resolution, to_file,
                                                                       provenance):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = long_resolution.to_bytes(emit_provenance=provenance, line=line)
+        out = _written(to_file, partial(long_resolution.to_bytes, emit_provenance=provenance))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -804,21 +831,13 @@ def test_encoding_a_long_result_allocates_at_most_3_5_times_its_size(long_resolu
 
 
 @pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
-@pytest.mark.parametrize("line", [False, True], ids=["file", "line"])
+@pytest.mark.parametrize("after", [False, True], ids=["file", "line"])
 def test_writing_a_long_result_to_a_file_allocates_at_most_2_times_its_size(
-        long_resolution, line, provenance, tmp_path):
+        long_resolution, after, provenance, tmp_path):
     # Each record is written as it is encoded, so what is held at once is
     # the encoded text and one record beside the checks' id table, a small
-    # fraction of the result; returning the bytes takes 2.4 to 3 times.
-    path = tmp_path / "long.json"
-    with open(path, "wb") as file:
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            long_resolution.to_bytes(emit_provenance=provenance, line=line, file=file)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    size = path.stat().st_size
-    assert path.read_bytes() == long_resolution.to_bytes(emit_provenance=provenance, line=line)
-    assert peak - before <= 2.0 * size, (peak - before) / size
+    # fraction of the result; returning the bytes takes 2.9 to 3 times.
+    path, earlier = tmp_path / "long.json", _EARLIER if after else b""
+    size, peak = _write_long(long_resolution, provenance, path, earlier)
+    assert path.read_bytes() == earlier + long_resolution.to_bytes(emit_provenance=provenance)
+    assert peak <= 2.0 * size, peak / size

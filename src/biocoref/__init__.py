@@ -23,6 +23,7 @@ from .model import (
     SchemaViolation,
     Sentence,
     Token,
+    Tokens,
 )
 from .resolver import Resolution, ResolverConfig, resolve_document
 from .schema import ArgSchema, SchemaMissing, default_schema, load_schema
@@ -50,6 +51,7 @@ __all__ = [
     "SchemaViolation",
     "Sentence",
     "Token",
+    "Tokens",
     "TriggerDictionary",
     "cardinality_of",
     "classify_mutant_np",

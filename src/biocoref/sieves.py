@@ -279,10 +279,7 @@ SEARCH_SIEVES = {
 
 
 def _np_words(ctx: ResolveContext, start: int, end: int, surface: str) -> list[str]:
-    tokens = ctx.index.tokens_in(start, end)
-    if tokens:
-        return [t.surface for t in tokens]
-    return surface.split()
+    return ctx.index.words_in(start, end) or surface.split()
 
 
 def _head_index(ctx: ResolveContext):

@@ -39,12 +39,12 @@ and any input the scan hands off, are read by ``json.loads`` and
 ``document_from_dict``, the reference path, which frees each parsed record
 as its model record is built and names the first fault of a bad input.
 Either way a document keeps one string object per distinct value: ids and
-the refs that name them, labels, types, roles and surfaces. A worker hands
-an input's bytes to ``_load``, which drops them once they are decoded; a
-long input whose non-ASCII bytes all lie in its text is decoded one byte per
+the refs that name them, labels, types, roles and entity surfaces. A worker
+hands an input's bytes to ``_load``, which drops them once decoded; a long
+input whose non-ASCII bytes all lie in its text is decoded one byte per
 character (``_SCAN_FROM``). Traced on a 1,600-sentence document with one
-non-ASCII character in its text, loading it peaks at 3.7 MiB, resolving it
-at 3.9 and saving its result at 3.7, for a model of 2.6 MiB.
+non-ASCII character in its text, loading it peaks at 2.85 MiB, resolving it
+at 3.05 and saving its result at 2.77, for a model of 1.75 MiB.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .model import (
     MutationRecord,
     SchemaViolation,
     Sentence,
-    Token,
+    Tokens,
     validate_document,
 )
 from .schema import EVENT_PSEUDO_CLASS, ArgSchema, default_schema
@@ -122,15 +122,15 @@ _NO_ITEMS: list = []
 def _sentences(records: Iterable, text: str, doc_id: str, share: Callable[[Any, Any], Any]
                ) -> list[Sentence]:
     """The Sentences of the parsed ``records``, taken one at a time, their
-    tokens' surfaces sliced from ``text``. A record whose fields all have
+    tokens held as offsets into ``text``. A record whose fields all have
     their exact JSON types is built directly; any other goes through the
     ``_require*`` checks, which name its first fault. So do ``_entities``
     and ``_events``.
 
     ``share`` is the ``setdefault`` of a dict of the document's strings,
     one object per distinct value: each string a record holds is the first
-    equal one shared, so a value repeated across records, a ``ref`` and the
-    id it names, or a surface and its token's, is held once."""
+    equal one shared, so a value repeated across records, or a ``ref`` and
+    the id it names, is held once."""
     sentences = []
     for s in records:
         # A sentence's tokens are read before its own fields.
@@ -140,7 +140,7 @@ def _sentences(records: Iterable, text: str, doc_id: str, share: Callable[[Any, 
                 and type(sent_end := s.get("end")) is int)
         if not fast:
             items = _require_list(s, "tokens", f"{doc_id} sentence", optional=True)
-        tokens = []
+        offsets, hints = [], []
         for t in items:
             if not (type(t) is dict and type(start := t.get("start")) is int
                     and type(end := t.get("end")) is int
@@ -149,15 +149,14 @@ def _sentences(records: Iterable, text: str, doc_id: str, share: Callable[[Any, 
                 start = _require_int(t, "start", where)
                 end = _require_int(t, "end", where)
                 pos = _optional_str(t, "pos", where)
-            surface = text[start:end]
-            tokens.append(Token(start, end, share(surface, surface),
-                                None if pos is None else share(pos, pos)))
+            offsets += start, end
+            hints.append(None if pos is None else share(pos, pos))
         if not fast:
             where = f"{doc_id} sentence"
             index = _require_int(s, "index", where)
             sent_start = _require_int(s, "start", where)
             sent_end = _require_int(s, "end", where)
-        sentences.append(Sentence(index, sent_start, sent_end, tuple(tokens)))
+        sentences.append(Sentence(index, sent_start, sent_end, Tokens(text, offsets, hints)))
     return sentences
 
 
@@ -581,9 +580,10 @@ def save_result(doc: Document, links: tuple[CorefLink, ...] | list = (),
     enc, top = encode_basestring, t.top
     token, token_pos, sentence = t.token, t.token_pos, t.sentence
     lists = [
-        (top[2], (sentence % (s.index, s.start, s.end, _join([
-            token % (k.start, k.end) if k.pos_hint is None
-            else token_pos % (k.start, k.end, enc(k.pos_hint)) for k in s.tokens]))
+        (top[2], (sentence % (s.index, s.start, s.end, _join(
+            [token % span for span in s.tokens.spans()] if s.tokens.hints is None else [
+                token % span if hint is None else token_pos % (*span, enc(hint))
+                for span, hint in zip(s.tokens.spans(), s.tokens.hints)]))
             for s in doc.sentences)),
         (top[3], (t.entity % (
             enc(e.id), e.start, e.end, enc(e.label),

@@ -17,6 +17,7 @@ from biocoref.model import (
     SchemaViolation,
     Sentence,
     Token,
+    Tokens,
 )
 from biocoref.resolver import ResolverConfig, validate_disabled
 from biocoref.schema import EVENT_PSEUDO_CLASS, RoleSpec, default_schema, load_schema
@@ -262,6 +263,33 @@ def test_pos_hints_round_trip():
     from biocoref.standoff import save_result
     doc2, _, _ = load_result(save_result(doc))
     assert doc2 == doc
+
+
+def test_tokens_are_a_read_only_sequence_of_the_tokens_they_hold():
+    text = "It binds RAF1."
+    tokens = Tokens(text, [0, 2, 3, 8, 9, 13], ["PRON", None, None])
+    expected = (Token(0, 2, "It", "PRON"), Token(3, 8, "binds"), Token(9, 13, "RAF1"))
+    assert len(tokens) == 3 and tuple(tokens) == expected and tokens == expected == tokens
+    assert tokens[-1] == expected[-1] and tokens[1:] == expected[1:] and expected[1] in tokens
+    assert list(tokens.spans()) == [(0, 2), (3, 8), (9, 13)]
+    assert tokens.hints == ("PRON", None, None)
+    assert hash(tokens) == hash(expected) and tokens != Tokens(text, [0, 2, 3, 8, 9, 13])
+    with pytest.raises(IndexError):
+        tokens[3]
+    with pytest.raises(TypeError):
+        tokens[0] = expected[0]
+    for name in ("hints", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(tokens, name, None)
+    # Surfaces come from the text: equal offsets over other words differ.
+    assert Tokens("It", [0, 2]) == Tokens("It binds", [0, 2]) != Tokens("Be", [0, 2])
+    # Hints that are all None are not held; offsets past an int32 are.
+    assert Tokens(text, [0, 2], [None]).hints is None
+    assert list(Tokens(text, [0, 2**40]).spans()) == [(0, 2**40)]
+    assert Tokens(text, [0, 2**40])[-1] == Token(0, 2**40, text)
+    for offsets, hints in (([0], None), ([0, 2], ["DET", None])):
+        with pytest.raises(ValueError, match="per token"):
+            Tokens(text, offsets, hints)
 
 
 def test_unknown_pos_hint_rejected():

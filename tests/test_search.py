@@ -4,6 +4,7 @@ import pytest
 
 from biocoref.detection import default_lexicon, detect_candidates
 from biocoref.index import DocIndex
+from biocoref.resolver import ResolverConfig, resolve_document
 from biocoref.schema import SchemaMissing, default_schema, load_schema
 from biocoref.search import build_constraints, linear_search
 from biocoref.standoff import load_document
@@ -166,3 +167,43 @@ def test_a_sentence_holds_the_mentions_that_start_in_it(corpus):
             assert index.events_in(i) == [
                 ev for ev in index.events
                 if i >= 0 and index.sentence_index_at(ev.trigger_start) == i]
+
+
+def _traced(doc: dict):
+    """The resolution of ``doc`` with a trace, and its trace entries by anaphor."""
+    config = ResolverConfig.default(trace=True)
+    res = resolve_document(load_document(json.dumps(doc)), config)
+    return res, {entry["anaphor"]: entry for entry in res.trace}
+
+
+def test_a_plural_anaphor_takes_one_antecedent_per_chain():
+    # The window holds RAF1 twice, chained by exact_string: the second is
+    # excluded_duplicate_chain, so "They" takes RAF1 once, and MEK1.
+    d = _doc("per_chain", ["RAF1 and MEK1 were purified, and RAF1 was labelled.",
+                           "They phosphorylate STAT3."],
+             [Ent("T1", 0, "RAF1", "Protein"), Ent("T2", 0, "MEK1", "Protein"),
+              Ent("T3", 0, "RAF1", "Protein", occ=2), Ent("T4", 1, "They", "Protein"),
+              Ent("T5", 1, "STAT3", "Protein")],
+             [Ev("E1", 1, "phosphorylate", "Phosphorylation", [("cause", "T4"), ("theme", "T5")])])
+    res, trace = _traced(d)
+    assert [attempt["considered"] for attempt in trace["T4"]["attempts"]] == [[
+        {"id": "T1", "verdict": "accepted"}, {"id": "T2", "verdict": "accepted"},
+        {"id": "T3", "verdict": "excluded_duplicate_chain"}]]
+    assert [(l.anaphor_id, l.antecedent_ids) for l in res.links] == [("T4", ("T1", "T2"))]
+
+
+def test_the_other_participant_of_a_self_binding_is_excluded_as_a_participant():
+    # ex1b_axin_gbd, the paper's example, restated so that the pronoun's
+    # fellow participant, GSK3B, comes before it: "it" must not bind GSK3B,
+    # which is excluded as the participant, not only as a chain mate like
+    # the first GSK3B.
+    d = _doc("self_binding", ["We incubated GSK3β with excess Axin GBD protein.",
+                              "Binding of GSK3β to it was saturated."],
+             [Ent("T1", 0, "GSK3β", "Protein"), Ent("T2", 0, "Axin GBD", "Protein"),
+              Ent("T3", 1, "GSK3β", "Protein"), Ent("T4", 1, "it", "Protein")],
+             [Ev("E1", 1, "Binding", "Binding", [("theme1", "T3"), ("theme2", "T4")])])
+    res, trace = _traced(d)
+    assert trace["T4"]["attempts"][0]["considered"] == [
+        {"id": "T3", "verdict": "excluded_participant"},
+        {"id": "T1", "verdict": "excluded_chain"}, {"id": "T2", "verdict": "accepted"}]
+    assert [(l.anaphor_id, l.antecedent_ids) for l in res.links] == [("T4", ("T2",))]
